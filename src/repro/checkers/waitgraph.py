@@ -19,7 +19,7 @@ specific message type arrives (an ``isinstance`` exit condition around a
     methods it calls) — e.g. a source parked on StartProbe still
     executes ReplayOrders, which is exactly what un-blocks a scheduler
     parked on ReplayDone;
-  - self-edges are ignored (self-sent PollTick ticker patterns).
+  - self-edges are ignored (self-sent PollTicks).
 
 * ``wg-no-sender`` — a wait-state's exit message is constructed nowhere
   in ``repro.core``/``repro.cluster``/``repro.workload`` outside

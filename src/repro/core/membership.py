@@ -17,12 +17,13 @@ membership layer (``FaultPlan.membership_active``):
 * :class:`BackupSchedulerProcess` — a standby scheduler that passively
   replicates the primary's routing decisions (:class:`StateSync`, shipped
   WAL-style *before* the primary acts) and watches a dead-man timer fed
-  by any primary traffic.  When the primary falls silent past the confirm
-  timeout it takes over: repoints ``ctx.scheduler_node``, deposes the old
-  primary (split-brain backstop), rebuilds a :class:`SchedulerProcess`
-  from the last snapshot, re-drives the in-flight decision and resumes
-  the interrupted phase.  Everyone else re-announces state the primary
-  may have taken to its grave on :class:`SchedulerFailover`.
+  by any primary traffic, checked on heartbeat-interval ticks.  When the
+  primary falls silent past the confirm timeout it takes over: repoints
+  ``ctx.scheduler_node``, deposes the old primary (split-brain backstop),
+  rebuilds a :class:`SchedulerProcess` from the last snapshot, re-drives
+  the in-flight decision and resumes the interrupted phase.  Everyone
+  else re-announces state the primary may have taken to its grave on
+  :class:`SchedulerFailover`.
 
 Timing defaults derive from the drain-poll interval so one knob scales
 the whole control plane; all three can be pinned in the fault plan.
@@ -34,7 +35,7 @@ from collections.abc import Generator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..sim import Interrupt
+from ..sim import Interrupt, PollTicks
 from .messages import (
     DeathVerdict,
     Depose,
@@ -198,13 +199,16 @@ class BackupSchedulerProcess:
         #: the spawned simulation process (set by spawn_query_pipeline)
         self.proc: Any = None
         self.timing = resolve_timing(ctx.faults.plan, ctx.cfg)
-        self._stopped = False
+        #: last time the primary was heard from (dead-man timer)
+        self._last_primary = ctx.sim.now
 
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, None]:
         ctx = self.ctx
-        ctx.sim.spawn(self._tick_loop(), name="backup-deadman")
-        last_primary = ctx.sim.now
+        self._last_primary = ctx.sim.now
+        # Local dead-man ticks (they never cross the network).
+        ticks = PollTicks(ctx.sim, self.node.mailbox, self.timing.interval,
+                          self._silent_too_long, PollTick())
         sync: StateSync | None = None
         try:
             while True:
@@ -212,25 +216,23 @@ class BackupSchedulerProcess:
                 if isinstance(msg, StateSync):
                     if sync is None or msg.sync_seq > sync.sync_seq:
                         sync = msg
-                    last_primary = ctx.sim.now
+                    self._last_primary = ctx.sim.now
                 elif isinstance(msg, HeartbeatPing):
-                    last_primary = ctx.sim.now
+                    self._last_primary = ctx.sim.now
                 elif isinstance(msg, PollTick):
-                    if ctx.sim.now - last_primary >= self.timing.confirm:
-                        self._stopped = True
+                    if self._silent_too_long(ctx.sim.now):
+                        ticks.stop()
                         self.outcome = yield from self._takeover(sync)
                         return
                 elif isinstance(msg, Shutdown):
                     return  # primary finished the query; stand down
                 # anything else is stray traffic for a standby: ignore
         finally:
-            self._stopped = True
+            ticks.stop()
 
-    def _tick_loop(self) -> Generator[Any, Any, None]:
-        """Local dead-man ticks (never cross the network)."""
-        while not self._stopped:
-            yield self.ctx.sim.timeout(self.timing.interval)
-            self.node.mailbox.put(PollTick())
+    def _silent_too_long(self, t: float) -> bool:
+        """The dead-man condition: no primary traffic for ``confirm``."""
+        return t - self._last_primary >= self.timing.confirm
 
     # ------------------------------------------------------------------
     def _takeover(self, sync: StateSync | None) -> Generator[Any, Any, Any]:

@@ -256,7 +256,7 @@ class StatusRequest(_Control):
 @dataclass
 class Shutdown(_Control):
     """Terminate after replying with a FinalReport (join nodes) or
-    immediately (sources, ticker)."""
+    immediately (sources, the pool, a standby scheduler)."""
 
 
 # ----------------------------------------------------------------------
@@ -571,9 +571,9 @@ class ReplayDone(_Control):
 # ----------------------------------------------------------------------
 @dataclass
 class PollTick:
-    """Timer tick the drain ticker drops into the scheduler mailbox.
-
-    Never crosses the network (the ticker runs on the scheduler node)."""
+    """Timer tick put into a polling actor's own mailbox (scheduler
+    drain, pool deadlines, standby dead-man timer) by its
+    :class:`~repro.sim.PollTicks` grid.  Never crosses the network."""
 
     kind = "tick"
     nbytes = 0

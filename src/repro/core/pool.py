@@ -28,8 +28,10 @@ nodes, and parked admissions proceed.
 Determinism: requests are ordered by an arrival sequence number, grants
 pick the free node with the most memory (lowest index tie-break — the same
 rule as ``SchedulerProcess._pick_candidate``), and deadlines are checked on
-the pool's own :class:`~repro.core.messages.PollTick` ticker, so no state
-depends on anything but simulation event order.
+:class:`~repro.core.messages.PollTick` ticks from the pool's own
+:class:`~repro.sim.PollTicks` grid, so no state depends on anything but
+simulation event order.  The grid delivers a tick to an idle pool only
+when a parked recruit is past its deadline.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any
 
 from ..config import PoolPolicy
 from ..cluster import Node
+from ..sim import PollTicks
 from .messages import (
     PollTick,
     QueryDone,
@@ -106,11 +109,6 @@ class _Parked:
     deadline: float | None  # None: admissions never expire
 
 
-class _StopFlag:
-    def __init__(self) -> None:
-        self.stopped = False
-
-
 class ResourcePoolProcess:
     """Drive with ``sim.spawn(pool.run())``; stats in ``pool.stats``."""
 
@@ -153,7 +151,6 @@ class ResourcePoolProcess:
         self._admission_q: deque[_Parked] = deque()
         self._recruit_q: list[_Parked] = []
         self._seq = 0
-        self._stop = _StopFlag()
 
     # ------------------------------------------------------------------
     # helpers
@@ -190,7 +187,9 @@ class ResourcePoolProcess:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, PoolStats]:
-        self.sim.spawn(self._ticker(), name="pool-ticker")
+        # Ticks run on the pool node, so they never cross the network.
+        ticks = PollTicks(self.sim, self.node.mailbox, self.poll_interval,
+                          self._tick_due, PollTick())
         self._sample_levels()
         while True:
             msg = yield from self.node.mailbox.recv()
@@ -205,7 +204,7 @@ class ResourcePoolProcess:
                 break
             else:
                 raise RuntimeError(f"pool: unexpected message {msg!r}")
-        self._stop.stopped = True
+        ticks.stop()
         # Held-but-never-released nodes (zombie recruits) are leaked.
         for query in sorted(self.held):
             for j in self.held[query]:
@@ -213,12 +212,15 @@ class ResourcePoolProcess:
         self._sample_levels()
         return self.stats
 
-    def _ticker(self) -> Generator[Any, Any, None]:
-        """PollTicks for deadline checks; runs on the pool node, so ticks
-        never cross the network (mirrors the scheduler's drain ticker)."""
-        while not self._stop.stopped:
-            yield self.sim.timeout(self.poll_interval)
-            self.node.mailbox.put(PollTick())
+    def _tick_due(self, t: float) -> bool | None:
+        """An idle pool acts on a tick only to deny an expired recruit
+        (see PollTicks); admissions never expire."""
+        if not self._recruit_q:
+            return None
+        return any(
+            p.deadline is not None and t >= p.deadline
+            for p in self._recruit_q
+        )
 
     # ------------------------------------------------------------------
     # dispatch

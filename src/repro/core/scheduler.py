@@ -22,15 +22,16 @@ identical balanced rounds imply an empty network.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterator
 from typing import Any
 
 import numpy as np
 
 from ..faults import UnrecoverableFaultError
 from ..hashing import LinearHashRouter, RangeRouter, Router, partition_range_by_counts
-from ..sim import Interrupt, Mailbox
+from ..sim import Interrupt, PollTicks
 from .context import RunContext
 from .messages import (
     ActivateAck,
@@ -108,13 +109,6 @@ class SchedulerOutcome:
     final_reports: dict[int, FinalReport] = field(default_factory=dict)
     probe_dup_tuples: int = 0
     activated: list[int] = field(default_factory=list)
-
-
-class _StopFlag:
-    """Shared stop signal for the drain ticker."""
-
-    def __init__(self) -> None:
-        self.stopped = False
 
 
 class SchedulerProcess:
@@ -223,7 +217,12 @@ class SchedulerProcess:
         self._prev_round: dict[int, tuple] | None = None
         self._drained = False
         self._phase = "build"
-        self._ticker_flag = _StopFlag()
+        #: drain-poll tick source (armed by _start_background)
+        self._ticks: PollTicks | None = None
+        #: deadline of the tick-bounded wait in progress, if any
+        self._tick_deadline: float | None = None
+        #: blocked in a build/probe drain loop (see _phase_recv)
+        self._polling = False
 
     # ------------------------------------------------------------------
     # helpers used by strategies
@@ -288,13 +287,12 @@ class SchedulerProcess:
         Picks a candidate from the potential pool, sends it the
         ``ActivateJoin`` built by ``make_activate(candidate)``, and waits
         for its :class:`ActivateAck`.  If no ack arrives within the recruit
-        timeout (a simulated-seconds deadline checked on drain-poll ticks,
-        so no stray timer events enter the simulation), the candidate is
-        presumed dead: it is excluded from the pool for good, the
-        scheduler backs off exponentially (capped), and a *different*
-        candidate is tried.  Returns the recruited pool index, or ``None``
-        when the pool is exhausted — the caller then degrades to the OOC
-        spill path (``ExpansionStrategy.fallback_spill``).
+        timeout (a simulated-seconds deadline checked on drain-poll ticks),
+        the candidate is presumed dead: it is excluded from the pool for
+        good, the scheduler backs off exponentially (capped), and a
+        *different* candidate is tried.  Returns the recruited pool index,
+        or ``None`` when the pool is exhausted — the caller then degrades
+        to the OOC spill path (``ExpansionStrategy.fallback_spill``).
 
         A live recruit whose ack merely arrived late becomes a "zombie":
         activated but unknown to the pools.  Its stale ack is ignored by
@@ -332,24 +330,26 @@ class SchedulerProcess:
             None if self.ctx.faults is None
             else self.ctx.sim.now + self._recruit_timeout_s
         )
-        while True:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, ActivateAck) and msg.node == cand:
-                return True
-            if isinstance(msg, PollTick):
-                if deadline is not None and self.ctx.sim.now >= deadline:
-                    return False
-                continue
-            self._dispatch_common(msg)
+        with self._ticks_due_at(deadline):
+            while True:
+                msg = yield from self.node.mailbox.recv()
+                if isinstance(msg, ActivateAck) and msg.node == cand:
+                    return True
+                if isinstance(msg, PollTick):
+                    if deadline is not None and self.ctx.sim.now >= deadline:
+                        return False
+                    continue
+                self._dispatch_common(msg)
 
     def _await_backoff(self, seconds: float) -> Generator[Any, Any, None]:
         """Idle until ``seconds`` from now (measured on drain-poll ticks),
         still absorbing other traffic."""
         deadline = self.ctx.sim.now + seconds
-        while self.ctx.sim.now < deadline:
-            msg = yield from self.node.mailbox.recv()
-            if not isinstance(msg, PollTick):
-                self._dispatch_common(msg)
+        with self._ticks_due_at(deadline):
+            while self.ctx.sim.now < deadline:
+                msg = yield from self.node.mailbox.recv()
+                if not isinstance(msg, PollTick):
+                    self._dispatch_common(msg)
 
     def mark_full(self, node: int) -> None:
         """Move a node from the working to the full list (replication)."""
@@ -461,7 +461,7 @@ class SchedulerProcess:
             self._stray_activate_acks.add(msg.node)
             self.ctx.trace("stale_activate_ack", "scheduler", node=msg.node)
         elif isinstance(msg, PollTick):
-            pass  # ticks are only meaningful to an idle phase loop
+            pass  # ticks matter only to a phase loop or a deadline wait
         else:
             raise RuntimeError(f"scheduler: unexpected message {msg!r}")
 
@@ -549,11 +549,15 @@ class SchedulerProcess:
                 "build and probe phases (docs/FAULTS.md)"
             ) from e
 
-    def _run_fresh(self) -> Generator[Any, Any, SchedulerOutcome]:
+    def _run_fresh(
+        self, failover: bool = False
+    ) -> Generator[Any, Any, SchedulerOutcome]:
         ctx = self.ctx
         self.outcome.t_start = ctx.sim.now
-        # Ticker first: the initial-activation ack timeout counts its ticks.
+        # Ticks first: the initial-activation ack timeout counts them.
         self._start_background()
+        if failover:
+            yield from self._announce_failover()
         self._notify_faults("build")
         # Activate the initial working join nodes and await their acks.
         # Initial nodes are not replaceable (the initial router is fixed
@@ -605,17 +609,16 @@ class SchedulerProcess:
         return self.outcome
 
     def _start_background(self) -> None:
-        """Spawn the drain ticker and (when armed) the failure detector.
+        """Arm the drain-poll ticks and (when armed) the failure detector.
 
-        Both gate on the same stop flag: a crashed or deposed primary
-        stops them, and that silence is exactly what the standby's
-        dead-man timer and the joins' ping loss observe."""
+        Both stop together: a crashed or deposed primary stops them, and
+        that silence is exactly what the standby's dead-man timer and the
+        joins' ping loss observe.  Ticks run on the scheduler node, so
+        they never cross the network."""
         ctx = self.ctx
-        self._ticker_flag = _StopFlag()
-        ctx.sim.spawn(
-            _ticker(ctx, self._ticker_flag, self.cfg.effective_drain_poll,
-                    self.node.mailbox),
-            name="drain-ticker",
+        self._ticks = PollTicks(
+            ctx.sim, self.node.mailbox, self.cfg.effective_drain_poll,
+            self._tick_due, PollTick(),
         )
         if (ctx.faults is not None and ctx.faults.plan.membership_active
                 and ctx.backup_node is not None):
@@ -623,11 +626,42 @@ class SchedulerProcess:
 
             self.membership = Membership(self)
             self._membership_proc = ctx.sim.spawn(
-                self.membership.loop(self._ticker_flag), name="membership"
+                self.membership.loop(self._ticks), name="membership"
             )
 
+    def _tick_due(self, t: float) -> bool | None:
+        """Whether a PollTick at time ``t`` can change anything, asked
+        while the scheduler is blocked on its mailbox (see PollTicks): at
+        a deadline wait's deadline, or in a drain loop that is ready to
+        start a poll round.  Every other wait ignores ticks."""
+        if self._tick_deadline is not None:
+            return t >= self._tick_deadline
+        return (self._polling and self._ready_to_poll()) or None
+
+    def _phase_recv(self) -> Generator[Any, Any, Any]:
+        """A drain loop's receive: the one wait where a PollTick can
+        start a poll round."""
+        self._polling = True
+        try:
+            return (yield from self.node.mailbox.recv())
+        finally:
+            self._polling = False
+
+    @contextmanager
+    def _ticks_due_at(self, deadline: float | None) -> Iterator[None]:
+        """Mark a wait that a PollTick at or after ``deadline`` ends, so
+        the tick source delivers that tick (``None`` marks nothing)."""
+        outer = self._tick_deadline
+        if deadline is not None:
+            self._tick_deadline = deadline
+        try:
+            yield
+        finally:
+            self._tick_deadline = outer
+
     def _halt_background(self) -> None:
-        self._ticker_flag.stopped = True
+        if self._ticks is not None:
+            self._ticks.stop()
         # The flag only covers the detector's idle path: a ping that is
         # mid-send when the primary dies would wait on the dead node's
         # CPU forever.  Interrupt it out of the send (it treats the
@@ -659,7 +693,8 @@ class SchedulerProcess:
             pending -= self._stray_activate_acks
             if not pending:
                 return
-            msg = yield from self.node.mailbox.recv()
+            with self._ticks_due_at(deadline):
+                msg = yield from self.node.mailbox.recv()
             if isinstance(msg, ActivateAck) and msg.node in pending:
                 pending.discard(msg.node)
                 if deadline is not None:  # progress: extend the deadline
@@ -699,7 +734,7 @@ class SchedulerProcess:
                 while self.full_queue:
                     reporter = self.full_queue.popleft()
                     yield from self._relief_cycle(reporter)
-                msg = yield from self.node.mailbox.recv()
+                msg = yield from self._phase_recv()
                 yield from self._dispatch_phase(msg)
             except _NodeDied as e:
                 yield from self._handle_node_death(e.node)
@@ -884,7 +919,7 @@ class SchedulerProcess:
         self._drained = False
         self._prev_round = None
         while not self._drained:
-            msg = yield from self.node.mailbox.recv()
+            msg = yield from self._phase_recv()
             yield from self._dispatch_phase(msg)
 
         new_entries.sort(key=lambda e: e[0].lo)
@@ -917,7 +952,7 @@ class SchedulerProcess:
                 while self.full_queue:
                     reporter = self.full_queue.popleft()
                     yield from self._probe_relief_cycle(reporter)
-                msg = yield from self.node.mailbox.recv()
+                msg = yield from self._phase_recv()
                 yield from self._dispatch_phase(msg)
             except _NodeDied as e:
                 yield from self._handle_node_death(e.node)
@@ -1209,7 +1244,10 @@ class SchedulerProcess:
             if (rep.processed_build >= expected_chunks and not rep.busy
                     and target not in self.full_queue):
                 break
-            yield from self.await_message(lambda m: isinstance(m, PollTick))
+            with self._ticks_due_at(ctx.sim.now):  # the next tick
+                yield from self.await_message(
+                    lambda m: isinstance(m, PollTick)
+                )
         yield from self.send_to_join(target, StartProbe(router=None))
         yield from self.broadcast_to_sources(
             ReplayOrder(relation="S", target=target, recovery_id=dead,
@@ -1255,12 +1293,14 @@ class SchedulerProcess:
         """Standby entry point: adopt the snapshot and finish the query."""
         try:
             phase = self.adopt_snapshot(sync)
-            self._start_background()
             if phase == "fresh":
                 # The primary died before its first sync: nothing has been
                 # decided yet, so a from-scratch run is idempotent (initial
-                # ActivateJoins are re-acked by already-active nodes).
-                return (yield from self._run_fresh())
+                # ActivateJoins are re-acked by already-active nodes).  The
+                # re-announcements still matter: a node that filled up
+                # reported MemoryFull to the dead primary.
+                return (yield from self._run_fresh(failover=True))
+            self._start_background()
             if phase not in ("build", "probe"):
                 raise UnrecoverableFaultError(
                     f"scheduler failover during the {phase} phase is not "
@@ -1328,7 +1368,7 @@ class SchedulerProcess:
             yield from self.ctx.send(
                 self.node, self.ctx.source_node(s), Shutdown()
             )
-        # Stand the standby down, or its dead-man ticker outlives the query.
+        # Stand the standby down, or its dead-man timer outlives the query.
         backup = self.ctx.backup_node
         if backup is not None and backup is not self.node:
             yield from self.ctx.send(self.node, backup, Shutdown())
@@ -1359,13 +1399,3 @@ class SchedulerProcess:
                 QueryDone(query=self.pool_client.query_id, released=released),
             )
 
-
-def _ticker(
-    ctx: RunContext, flag: _StopFlag, interval: float, mailbox: Mailbox
-) -> Generator[Any, Any, None]:
-    """Drops PollTicks into the scheduler mailbox until stopped.
-
-    Runs on the scheduler node, so ticks never cross the network."""
-    while not flag.stopped:
-        yield ctx.sim.timeout(interval)
-        mailbox.put(PollTick())

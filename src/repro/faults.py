@@ -157,7 +157,7 @@ class FaultPlan:
     rto_max_s: float | None = None
     max_attempts: int = 50
     #: recruit-ack timeout in simulated seconds, checked at drain-poll-tick
-    #: granularity (no extra timer events); ``None`` derives it from the
+    #: granularity (on the tick grid); ``None`` derives it from the
     #: cost model and chunk size so it always dominates worst-case
     #: receive-port queueing of a healthy recruit
     recruit_timeout_s: float | None = None
@@ -472,9 +472,6 @@ class FaultInjector:
         self.metrics.counter("retries_total", kind=kind).inc()
 
     # -- misc ------------------------------------------------------------
-    def is_crashed(self, pool_index: int) -> bool:
-        return pool_index in self.crashed
-
     def trace(self, event: str, **fields: Any) -> None:
         if self._trace is not None:
             self._trace(event, "faults", **fields)

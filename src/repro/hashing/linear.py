@@ -78,9 +78,6 @@ class LinearHashDirectory:
             raise RuntimeError("split already in progress (barrier pointer held)")
         return self.modulus + self.split_pointer
 
-    def owner_of_bucket(self, bucket: int) -> int:
-        return self.bucket_nodes[bucket]
-
     # ------------------------------------------------------------------
     def begin_split(self, new_node: int) -> SplitTicket:
         """Start splitting the bucket at the split pointer onto ``new_node``.

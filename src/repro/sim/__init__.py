@@ -27,6 +27,7 @@ from .kernel import Event, Simulator, Timeout
 from .lockdep import LockdepError, LockdepMonitor
 from .process import AllOf, AnyOf, Process
 from .sync import Barrier, Latch, Mailbox, Resource
+from .ticks import PollTicks
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "LockdepError",
     "LockdepMonitor",
     "Mailbox",
+    "PollTicks",
     "Process",
     "Resource",
     "SimulationError",

@@ -116,6 +116,18 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def cancel(self) -> None:
+        """Withdraw a triggered event before it fires.
+
+        Its callbacks never run, and the simulator discards it without
+        advancing the clock or counting it as processed.  Meant for
+        private timers (see :meth:`Simulator.at`) that nothing else waits
+        on: a waiter on a cancelled event is never resumed.
+        """
+        if self._processed:
+            raise SimulationError(f"{self!r} already processed")
+        self.callbacks = None
+
     def add_callback(self, fn: Callable[[Event], None]) -> None:
         """Run ``fn(event)`` when the event is processed.
 
@@ -168,7 +180,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        #: (fire time, seq, event, time it was scheduled at)
+        self._queue: list[tuple[float, int, Event, float]] = []
         self._seq = 0
         #: number of processes currently alive (maintained by Process)
         self._active_processes = 0
@@ -176,6 +189,7 @@ class Simulator:
         #: processes that died with an exception (maintained by Process)
         self._failed_processes: list = []
         self._current_event: Event | None = None
+        self._current_born = 0.0
         #: process whose generator is executing right now (maintained by
         #: Process._advance); sync primitives use it to attribute waits
         self._current_process: Any | None = None
@@ -203,6 +217,13 @@ class Simulator:
         return self._current_event
 
     @property
+    def current_born(self) -> float | None:
+        """The simulated time at which the event being processed was
+        scheduled (None between steps).  Among events firing at the same
+        instant, one scheduled earlier fires first."""
+        return None if self._current_event is None else self._current_born
+
+    @property
     def current_process(self) -> Any | None:
         """The process whose generator is executing right now (None when
         no process is on the stack, e.g. during setup code).  Lockdep uses
@@ -212,9 +233,12 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        self._push(event, self._now + delay)
+
+    def _push(self, event: Event, when: float) -> None:
         event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(self._queue, (when, self._seq, event, self._now))
 
     def event(self) -> Event:
         """Create a fresh pending event bound to this simulator."""
@@ -224,6 +248,23 @@ class Simulator:
         """Create an event firing after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
 
+    def at(self, when: float, value: Any = None) -> Event:
+        """Create an event firing at the absolute simulated time ``when``.
+
+        The fire time is exactly ``when``; ``timeout(when - now)`` would
+        fire at ``now + (when - now)``, which can round to a neighbouring
+        float.  Grid-aligned timers (:mod:`repro.sim.ticks`) rely on this,
+        and on :meth:`Event.cancel` to withdraw a timer they re-plan.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"cannot schedule into the past (when={when}, now={self._now})"
+            )
+        event = Event(self)
+        event._value = value
+        self._push(event, when)
+        return event
+
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -232,12 +273,15 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        when, _, event = heapq.heappop(self._queue)
+        """Process exactly one event (a cancelled one is just dropped)."""
+        when, _, event, born = heapq.heappop(self._queue)
+        if event.callbacks is None:
+            return  # cancelled: no time passes, nothing runs
         assert when >= self._now, "event queue went backwards"
         self._now = when
         self._processed_events += 1
         self._current_event = event
+        self._current_born = born
         try:
             event._run_callbacks()
         finally:

@@ -39,9 +39,17 @@ class Mailbox:
         #: owning actor takes it out (immediate get, put hand-off or
         #: drain); wired to the run's causal log by RunContext
         self.deq_probe: Any | None = None
+        #: optional hook called with each item just before put() queues
+        #: or hands it over; a PollTicks source uses it to wake on traffic
+        self.put_probe: Any | None = None
 
     def __len__(self) -> int:
         return len(self._items)
+
+    @property
+    def waiting(self) -> bool:
+        """True while a getter is blocked on this (empty) mailbox."""
+        return bool(self._getters)
 
     def _sample_depth(self) -> None:
         if self.depth_probe is not None:
@@ -53,6 +61,8 @@ class Mailbox:
 
     def put(self, item: Any) -> None:
         """Deposit a message; wakes the oldest waiting getter, if any."""
+        if self.put_probe is not None:
+            self.put_probe(item)
         self.total_put += 1
         if self._getters:
             getter = self._getters.popleft()

@@ -77,6 +77,18 @@ def test_scheduler_killed_mid_build_fails_over(algorithm):
     assert counter_total(res, "sched.failover_count") == 1
 
 
+@pytest.mark.chaos
+@pytest.mark.parametrize("algorithm", ALGOS)
+def test_scheduler_killed_before_its_first_sync_fails_over(algorithm):
+    """The primary dies before replicating anything, so the standby runs
+    the query from scratch.  It still has to make everyone re-announce:
+    join nodes that filled up reported MemoryFull to the dead primary,
+    and without a re-announcement they would wait for relief forever."""
+    res = run_with(algorithm, membership_plan(kill_scheduler_at=0.0005))
+    assert res.matches == res.reference_matches == 89
+    assert counter_total(res, "sched.failover_count") == 1
+
+
 # ---------------------------------------------------------------------------
 # working-node crash -> heartbeat detection -> range re-stream
 # ---------------------------------------------------------------------------

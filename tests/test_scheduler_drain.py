@@ -6,12 +6,15 @@ consecutive polling rounds return identical counters AND the flow balances
 These tests drive ``_collect_report`` directly with synthetic reports.
 """
 
+import pytest
+
 from tests.conftest import small_config
 from repro.config import Algorithm
+from repro.core import run_join
 from repro.core.context import RunContext
-from repro.core.messages import StatusReport
+from repro.core.messages import ActivateAck, StatusReport
 from repro.core.scheduler import SchedulerProcess
-from repro.sim import Simulator
+from repro.sim import DeadlockError, Simulator
 
 
 def make_sched(initial=2):
@@ -143,3 +146,39 @@ def test_probe_phase_balance_includes_emitted_probe():
     feed_round(sched, round_)
     feed_round(sched, round_)
     assert sched._drained
+
+
+#: far above the ~7k events a fault-free small join needs, far below
+#: what a scheduler polling forever would reach in a test's lifetime
+EVENT_CAP = 200_000
+
+
+def test_stuck_protocol_fails_fast_with_a_stall_report(monkeypatch):
+    """No join node ever acks its ActivateJoin: without a fault plan the
+    scheduler waits for the acks with no deadline, and nothing else can
+    happen.  Ticks are delivered only when they can change something, so
+    the event queue drains and the run ends in a DeadlockError that
+    names the blocked scheduler — instead of polling forever."""
+    real_send = RunContext.send
+
+    def send(self, src, dst, msg, **kw):
+        if isinstance(msg, ActivateAck):
+            return
+        yield from real_send(self, src, dst, msg, **kw)
+
+    steps = 0
+    real_step = Simulator.step
+
+    def step(sim):
+        nonlocal steps
+        steps += 1
+        assert steps <= EVENT_CAP, "event cap hit: the stuck run spins"
+        real_step(sim)
+
+    monkeypatch.setattr(RunContext, "send", send)
+    monkeypatch.setattr(Simulator, "step", step)
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
+    with pytest.raises(DeadlockError) as info:
+        run_join(small_config(Algorithm.HYBRID))
+    report = str(info.value)
+    assert "lockdep:" in report and "'scheduler" in report

@@ -160,3 +160,33 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build_and_run() == build_and_run()
+
+
+def test_at_fires_at_exactly_the_absolute_time():
+    sim = Simulator()
+    sim.timeout(0.177)
+    sim.run()
+    when = 0.761  # a relative timeout would land on 0.7610000000000001
+    assert sim.now + (when - sim.now) != when
+    fired = []
+    sim.at(when, "v").add_callback(lambda ev: fired.append((sim.now, ev.value)))
+    sim.run()
+    assert fired == [(when, "v")]
+    with pytest.raises(ValueError):
+        sim.at(0.5)
+
+
+def test_cancelled_event_neither_runs_nor_moves_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0)
+    late = sim.at(5.0)
+    late.add_callback(lambda ev: fired.append(sim.now))
+    late.cancel()
+    sim.run()
+    assert fired == [] and sim.now == 1.0
+    assert sim.processed_events == 1
+    done = sim.timeout(0.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        done.cancel()

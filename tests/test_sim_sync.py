@@ -1,8 +1,8 @@
-"""Unit tests for mailboxes, resources, barriers and latches."""
+"""Unit tests for mailboxes, resources, barriers, latches and poll ticks."""
 
 import pytest
 
-from repro.sim import Barrier, Latch, Mailbox, Resource, Simulator
+from repro.sim import Barrier, Latch, Mailbox, PollTicks, Resource, Simulator
 from repro.sim.errors import SimulationError
 
 
@@ -250,3 +250,191 @@ def test_latch_overcounting_raises():
         latch.count_down()
     with pytest.raises(ValueError):
         Latch(sim, count=-1)
+
+
+# ----------------------------------------------------------------------
+# PollTicks
+# ----------------------------------------------------------------------
+def _grid(start, interval, n):
+    """Reference grid: the first ``n`` points of ``t += interval``."""
+    t, out = start, []
+    for _ in range(n):
+        t += interval
+        out.append(t)
+    return out
+
+
+def _first_grid_point(start, interval, ok):
+    t = start + interval
+    while not ok(t):
+        t += interval
+    return t
+
+
+def test_poll_ticks_fire_on_the_reference_grid_bit_for_bit():
+    interval = 0.010 * 0.02
+    n = 100_000
+    sim = Simulator()
+    box = Mailbox(sim)
+    times = []
+
+    def owner():
+        yield sim.timeout(0.37)
+        ticks = PollTicks(sim, box, interval, lambda t: True, "tick")
+        while len(times) < n:
+            yield box.get()
+            times.append(sim.now)
+        ticks.stop()
+        yield box.get()  # the final tick
+
+    sim.spawn(owner())
+    sim.run()
+    assert times == _grid(0.37, interval, n)
+
+
+def test_dormant_poll_ticks_wake_at_the_next_grid_point_after_a_put():
+    interval = 0.3
+    sim = Simulator()
+    box = Mailbox(sim)
+    state = {"work": False}
+    ticks_at = []
+
+    def owner():
+        ticks = PollTicks(sim, box, interval,
+                          lambda t: True if state["work"] else None, "tick")
+        while not ticks_at:
+            msg = yield box.get()
+            if msg == "work":
+                state["work"] = True
+            elif msg == "tick":
+                ticks_at.append(sim.now)
+        ticks.stop()
+
+    def producer():
+        yield sim.timeout(100.0)
+        box.put("work")
+
+    sim.spawn(owner())
+    sim.spawn(producer())
+    sim.run()
+    assert ticks_at == [_first_grid_point(0.0, interval, lambda t: t >= 100.0)]
+    # Dormant for ~333 grid points, yet only a handful of events ran.
+    assert sim.processed_events < 20
+
+
+def test_poll_ticks_deadline_wake_lands_on_the_first_due_grid_point():
+    interval = 0.013
+    sim = Simulator()
+    box = Mailbox(sim)
+    ticks_at = []
+
+    def due(t):
+        return t - 0.05 >= 1.0  # silent since 0.05 for a whole second
+
+    def owner():
+        ticks = PollTicks(sim, box, interval, due, "tick")
+        yield box.get()
+        ticks_at.append(sim.now)
+        ticks.stop()
+
+    sim.spawn(owner())
+    sim.run()
+    assert ticks_at == [_first_grid_point(0.0, interval, due)]
+    assert sim.processed_events < 10
+
+
+def test_stopped_poll_ticks_fire_exactly_one_final_tick():
+    interval = 0.3
+    sim = Simulator()
+    box = Mailbox(sim)
+    ticks_at = []
+
+    def owner():
+        ticks = PollTicks(sim, box, interval, lambda t: None, "tick")
+        # Busy: ticks queue whatever the predicate says.
+        yield sim.timeout(1.0)
+        while len(box):
+            yield box.get()
+            ticks_at.append(sim.now)
+        assert ticks_at == [1.0, 1.0, 1.0]
+        # Blocked with nothing due: no tick until stop().
+        sim.spawn(stopper(ticks))
+        yield box.get()
+        ticks_at.append(sim.now)
+
+    def stopper(ticks):
+        yield sim.timeout(1.5)
+        ticks.stop()
+        ticks.stop()  # idempotent
+
+    sim.spawn(owner())
+    sim.run()
+    final = _first_grid_point(0.0, interval, lambda t: t >= 2.5)
+    assert ticks_at == [1.0, 1.0, 1.0, final]
+    assert len(box) == 0 and sim.now == final
+
+
+def test_poll_ticks_final_tick_queues_after_the_owner_left():
+    sim = Simulator()
+    box = Mailbox(sim)
+
+    def owner():
+        ticks = PollTicks(sim, box, 0.25, lambda t: True, "tick")
+        yield box.get()
+        ticks.stop()
+
+    sim.spawn(owner())
+    sim.run()
+    assert list(box.drain()) == ["tick"] and sim.now == 0.5
+
+
+def _polling_loop(sim, box, interval, stop):
+    """Reference: a process that puts a tick on every grid step."""
+    while not stop:
+        yield sim.timeout(interval)
+        box.put("tick")
+
+
+@pytest.mark.parametrize("delays", [(0.5,), (0.3, 0.2)])
+def test_poll_ticks_order_a_put_on_a_grid_point_like_a_polling_loop(delays):
+    """A put lands exactly on grid point 0.5, which the dormant source
+    never visited.  A polling loop scheduled that tick at 0.25, so a put
+    scheduled before 0.25 goes first and one scheduled after goes second."""
+
+    def scenario(reference):
+        sim = Simulator()
+        box = Mailbox(sim)
+        got = []
+        stop = []
+
+        def owner():
+            if reference:
+                sim.spawn(_polling_loop(sim, box, 0.25, stop))
+            else:
+                ticks = PollTicks(sim, box, 0.25, lambda t: None, "tick")
+            while len(got) < 2:
+                item = yield box.get()
+                if sim.now >= 0.5:  # earlier ticks change nothing
+                    got.append(item)
+            stop.append(True)
+            if not reference:
+                ticks.stop()
+
+        def producer():
+            for d in delays:
+                yield sim.timeout(d)
+            box.put("work")
+
+        sim.spawn(owner())
+        sim.spawn(producer())
+        sim.run()
+        return got
+
+    expected = ["work", "tick"] if delays == (0.5,) else ["tick", "work"]
+    assert scenario(reference=True) == scenario(reference=False) == expected
+
+
+def test_poll_ticks_reject_a_nonpositive_interval():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        PollTicks(sim, Mailbox(sim), 0.0, lambda t: None, "tick")
