@@ -668,13 +668,3 @@ class FigureHarness:
             "Figure 5 comes from split serialization vs parallel reshuffle"
         )
         return rep
-
-    # ------------------------------------------------------------------
-    def all_figures(self) -> list[FigureReport]:
-        """Every reproduced figure plus the analytic-model validation."""
-        return [
-            self.fig02(), self.fig03(), self.fig04(), self.fig05(),
-            self.fig06(), self.fig07(), self.fig08(), self.fig09(),
-            self.fig10(), self.fig11(), self.fig12(), self.fig13(),
-            self.model_validation(),
-        ]

@@ -50,8 +50,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import replace
-from collections.abc import Sequence
+from typing import Any
 
 from .analysis import format_table
 from .config import (
@@ -71,6 +72,7 @@ from .config import (
 )
 from .core import run_join
 from .faults import FaultPlan, FaultPlanError, crash_specs_from_cli
+from .obs import Snapshot, metrics_to_jsonl
 
 __all__ = ["main", "build_parser"]
 
@@ -378,8 +380,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs import metrics_to_jsonl
-
     if _refuse_overwrite(args.out, args.force, "metrics"):
         return 2
     algorithm = Algorithm(args.algorithm)
@@ -531,28 +531,26 @@ def _check_membership(plan: FaultPlan | None, command: str) -> bool:
     return False
 
 
-def cmd_workload(args: argparse.Namespace) -> int:
-    from .obs import Snapshot
-    from .workload import run_workload
+def _refuse_workload_outputs(args: argparse.Namespace, command: str) -> bool:
+    return any(
+        _refuse_overwrite(path, args.force, command)
+        for path in (args.out, args.metrics_out, args.baseline,
+                     args.snapshot_out)
+    )
 
-    plan = _faults(args)
-    if _check_membership(plan, "workload"):
-        return 2
+
+def _run_with_snapshots(
+    args: argparse.Namespace,
+    run: Callable[[Callable[[Snapshot], None]], Any],
+    stream: str,
+) -> Any:
+    """Call ``run(on_snapshot)`` with the live telemetry both multi-query
+    commands share: one progress line per periodic snapshot (``--live``),
+    optionally streamed to a JSONL file (``--snapshot-out``; `repro tail`
+    renders it).  The final snapshot is always appended last, so the
+    file's last line is the run's end state — what bench-diff compares.
+    """
     live = args.live or args.live_interval is not None
-    try:
-        cfg = _workload_config(args, plan)
-    except ValueError as exc:
-        print(f"workload: {exc}", file=sys.stderr)
-        return 2
-    for path in (args.out, args.metrics_out, args.baseline,
-                 args.snapshot_out):
-        if _refuse_overwrite(path, args.force, "workload"):
-            return 2
-
-    # Live telemetry: one progress line per periodic snapshot, optionally
-    # streamed to a JSONL file (`repro tail` renders it; the final
-    # snapshot is always appended last, so the file's last line is the
-    # run's end state — what bench-diff compares).
     snap_fh = None
     if args.snapshot_out:
         snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
@@ -565,15 +563,23 @@ def cmd_workload(args: argparse.Namespace) -> int:
             snap_fh.flush()
 
     try:
-        res = run_workload(cfg, validate=not args.no_validate,
-                           on_snapshot=on_snapshot)
+        res = run(on_snapshot)
         if res.snapshot is not None:
             on_snapshot(res.snapshot)
     finally:
         if snap_fh is not None:
             snap_fh.close()
     if args.snapshot_out:
-        print(f"wrote {args.snapshot_out} (snapshot stream)")
+        print(f"wrote {args.snapshot_out} ({stream})")
+    return res
+
+
+def _write_workload_outputs(
+    args: argparse.Namespace, res: Any, wl: WorkloadConfig, *,
+    benchmark: str, series: str, p99: float,
+) -> None:
+    """The report (``--format``/``--out``), ``--metrics-out`` JSONL and
+    the ``--baseline`` document of a workload or fleet run."""
     if args.format == "json":
         payload = json.dumps(res.to_dict(), indent=1) + "\n"
     else:
@@ -585,8 +591,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     else:
         print(payload, end="")
     if args.metrics_out:
-        from .obs import metrics_to_jsonl
-
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             for line in metrics_to_jsonl(res.metrics):
                 fh.write(line + "\n")
@@ -595,13 +599,13 @@ def cmd_workload(args: argparse.Namespace) -> int:
         # bench-diff's schema keys are fixed (total_s / build_s); for a
         # workload they carry makespan and p99 latency respectively.
         base = {
-            "benchmark": "workload",
-            "scale": cfg.scale,
+            "benchmark": benchmark,
+            "scale": wl.scale,
             "series": {
-                cfg.policy.value: {
-                    str(cfg.n_queries): {
+                series: {
+                    str(wl.n_queries): {
                         "total_s": res.makespan_s,
-                        "build_s": res.latency_percentiles()["p99"],
+                        "build_s": p99,
                     }
                 }
             },
@@ -609,7 +613,33 @@ def cmd_workload(args: argparse.Namespace) -> int:
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(base, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {args.baseline} (workload baseline)")
+        print(f"wrote {args.baseline} ({benchmark} baseline)")
+
+
+def cmd_workload(args: argparse.Namespace) -> int:
+    from .workload import run_workload
+
+    plan = _faults(args)
+    if _check_membership(plan, "workload"):
+        return 2
+    try:
+        cfg = _workload_config(args, plan)
+    except ValueError as exc:
+        print(f"workload: {exc}", file=sys.stderr)
+        return 2
+    if _refuse_workload_outputs(args, "workload"):
+        return 2
+    res = _run_with_snapshots(
+        args,
+        lambda on_snapshot: run_workload(
+            cfg, validate=not args.no_validate, on_snapshot=on_snapshot
+        ),
+        "snapshot stream",
+    )
+    _write_workload_outputs(
+        args, res, cfg, benchmark="workload", series=cfg.policy.value,
+        p99=res.latency_percentiles()["p99"],
+    )
     if args.trace:
         print("\ntrace:")
         print(res.tracer.format())
@@ -617,13 +647,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from .obs import Snapshot, metrics_to_jsonl
     from .workload import profile_arrivals, run_fleet
 
     plan = _faults(args)
     if _check_membership(plan, "fleet"):
         return 2
-    live = args.live or args.live_interval is not None
     try:
         wl = _workload_config(args, plan)
         if args.arrival_profile != "poisson":
@@ -639,76 +667,29 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
-    for path in (args.out, args.metrics_out, args.baseline,
-                 args.snapshot_out):
-        if _refuse_overwrite(path, args.force, "fleet"):
-            return 2
-
-    # Live telemetry mirrors `repro workload`, except each line carries the
-    # *merged* fleet-wide snapshot (latest per cohort, folded with the
-    # snapshot merge laws) — tailing the JSONL mid-run shows global
-    # progress across all worker processes; the final merged snapshot is
-    # always appended last.
-    snap_fh = None
-    if args.snapshot_out:
-        snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
-
-    def on_snapshot(snap: Snapshot) -> None:
-        if live:
-            print(f"live: {snap.describe()}")
-        if snap_fh is not None:
-            snap_fh.write(snap.to_json() + "\n")
-            snap_fh.flush()
-
-    try:
-        res = run_fleet(cfg, validate=not args.no_validate,
-                        on_snapshot=on_snapshot)
-        if res.snapshot is not None:
-            on_snapshot(res.snapshot)
-    finally:
-        if snap_fh is not None:
-            snap_fh.close()
-    if args.snapshot_out:
-        print(f"wrote {args.snapshot_out} (merged snapshot stream)")
+    if _refuse_workload_outputs(args, "fleet"):
+        return 2
+    # Each live line and stream entry carries the *merged* fleet-wide
+    # snapshot (latest per cohort, folded with the snapshot merge laws),
+    # so tailing the JSONL mid-run shows progress across all workers.
+    res = _run_with_snapshots(
+        args,
+        lambda on_snapshot: run_fleet(
+            cfg, validate=not args.no_validate, on_snapshot=on_snapshot
+        ),
+        "merged snapshot stream",
+    )
     for failure in res.failures:
         print(f"fleet: shard {failure.shard} failed ({failure.kind}, "
               f"cohorts {list(failure.cohorts)}): {failure.detail}",
               file=sys.stderr)
-    if args.format == "json":
-        payload = json.dumps(res.to_dict(), indent=1) + "\n"
-    else:
-        payload = res.summary() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({args.format})")
-    else:
-        print(payload, end="")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            for line in metrics_to_jsonl(res.metrics):
-                fh.write(line + "\n")
-        print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
-    if args.baseline:
-        # Same fixed bench-diff keys as the workload baseline; the series
-        # name carries the arrival profile so one file can hold curves for
-        # several profiles side by side.
-        base = {
-            "benchmark": "fleet",
-            "scale": wl.scale,
-            "series": {
-                f"{args.arrival_profile}-{wl.policy.value}": {
-                    str(wl.n_queries): {
-                        "total_s": res.makespan_s,
-                        "build_s": res.latency_percentiles().get("p99", 0.0),
-                    }
-                }
-            },
-        }
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(base, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.baseline} (fleet baseline)")
+    # The series name carries the arrival profile so one baseline file
+    # can hold curves for several profiles side by side.
+    _write_workload_outputs(
+        args, res, wl, benchmark="fleet",
+        series=f"{args.arrival_profile}-{wl.policy.value}",
+        p99=res.latency_percentiles().get("p99", 0.0),
+    )
     return res.exit_code
 
 
@@ -721,7 +702,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
         load_baseline,
         load_document,
     )
-    from .obs import Snapshot
 
     try:
         old_doc = load_document(args.old)
@@ -755,8 +735,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
-    from .obs import Snapshot
-
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -962,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(implies --live; default 25*scale)")
         p.add_argument("--obs-budget", type=int, default=None,
                        metavar="BYTES",
-                       help="cap observability memory: bounded span/edge "
+                       help="cap observability memory: bounded span "
                             "sampling, ring buffers and sketch bins sized "
                             "to this many bytes (min 4096; shed records "
                             "are counted, never silent)")

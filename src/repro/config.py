@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .faults import FaultPlan
+from .obs.streaming import ObsBudget
 
 __all__ = [
     "Algorithm",
@@ -293,11 +294,12 @@ class WorkloadSpec:
 class ObsConfig:
     """Streaming-observability knobs (docs/OBSERVABILITY.md §Streaming).
 
-    ``budget_bytes`` caps the run's observability state: span and causal
-    logs switch to deterministic reservoir sampling, sketch/ring
-    capacities shrink to fit, and whatever is shed is counted in the
-    ``obs.spans_dropped`` / ``obs.edges_dropped`` metrics.  ``None``
-    keeps today's full-history collectors (and an unchanged report).
+    ``budget_bytes`` caps the run's observability state: the span log
+    switches to deterministic reservoir sampling, sketch/ring capacities
+    shrink to fit, and the shed spans are counted in the
+    ``obs.spans_dropped`` metric.  ``None`` keeps today's full-history
+    collectors (and an unchanged report).  The floor is
+    ``ObsBudget.MIN_BYTES`` (4096).
 
     ``live_interval_s`` turns on the periodic snapshot emitter (one
     mergeable :class:`repro.obs.Snapshot` per interval of simulated
@@ -311,10 +313,8 @@ class ObsConfig:
     ring_resolution_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.budget_bytes is not None and self.budget_bytes < 4096:
-            raise ValueError(
-                f"obs budget must be >= 4096 bytes, got {self.budget_bytes}"
-            )
+        if self.budget_bytes is not None:
+            ObsBudget.from_bytes(self.budget_bytes)  # below MIN_BYTES: raises
         if self.live_interval_s is not None and self.live_interval_s <= 0:
             raise ValueError("live_interval_s must be > 0 (or None)")
         if self.ring_resolution_s <= 0:
@@ -557,17 +557,10 @@ class RunConfig:
     #: simulated timeline is bit-identical with it on or off.  The test
     #: suite turns it on by default (REPRO_LOCKDEP=0 opts out).
     lockdep: bool = False
-    #: observability byte budget for this run's span/causal logs (None =
-    #: unbounded full-history logs; see ObsConfig.budget_bytes)
-    obs_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.initial_nodes < 1:
             raise ValueError("initial_nodes must be >= 1")
-        if self.obs_budget_bytes is not None and self.obs_budget_bytes < 4096:
-            raise ValueError(
-                f"obs budget must be >= 4096 bytes, got {self.obs_budget_bytes}"
-            )
         if self.trace_buffer is not None and self.trace_buffer < 1:
             raise ValueError("trace_buffer must be >= 1 (or None)")
         if self.initial_nodes > self.cluster.n_potential_nodes:

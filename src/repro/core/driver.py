@@ -24,8 +24,6 @@ from ..data import materialize_relation
 from ..obs import (
     PHASE_NAMES,
     SCHEDULER_TRACK,
-    BoundedCausalLog,
-    BoundedSpanLog,
     PhaseTimeline,
     harvest_network,
     harvest_nodes,
@@ -236,13 +234,6 @@ def run_join(cfg: RunConfig, validate: bool = True) -> JoinRunResult:
     ctx.metrics.close()
 
     result = assemble_result(ctx, outcome, validate)
-    # Budgeted observability: publish what the bounded collectors shed
-    # (after assemble_result, whose phase spans also count against the
-    # budget).  Unbudgeted runs publish nothing — report unchanged.
-    if isinstance(ctx.spans, BoundedSpanLog):
-        ctx.metrics.inc("obs.spans_dropped", ctx.spans.dropped)
-    if isinstance(ctx.causal, BoundedCausalLog):
-        ctx.metrics.inc("obs.edges_dropped", ctx.causal.dropped)
     result.metrics = ctx.metrics.snapshot()
 
     total = sim.now

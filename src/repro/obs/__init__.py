@@ -34,12 +34,10 @@ from .metrics import (
     MetricsRegistry,
     TimeWeightedHistogram,
 )
+from .reservoir import ReservoirSample
 from .streaming import (
-    BoundedCausalLog,
-    BoundedSpanLog,
     ObsBudget,
     QuantileSketch,
-    ReservoirSample,
     Snapshot,
     StreamingCollector,
     TimeSeriesRing,
@@ -54,8 +52,6 @@ from .timeline import (
 )
 
 __all__ = [
-    "BoundedCausalLog",
-    "BoundedSpanLog",
     "CausalLog",
     "Counter",
     "ExplainReport",

@@ -1,4 +1,4 @@
-"""Streaming, mergeable observability: sketches, rings, bounded logs.
+"""Streaming, mergeable observability: sketches, rings, snapshots.
 
 Everything in this module holds **O(budget)** state no matter how many
 events a run produces, and everything merges:
@@ -14,16 +14,15 @@ events a run produces, and everything merges:
   aggregates ``(count, sum, min, max, last)`` keyed by the *absolute*
   bucket index ``floor(t / resolution)``, so rings from independent
   shards align by simulated time when merged.
-* :class:`ReservoirSample` — deterministic bottom-k sampling by a
-  content hash (``blake2b``, never Python's salted ``hash()``), plus an
-  always-keep set of the ``outliers`` heaviest records.  The retained
-  set is a pure function of the *offered* set (canonical form is
-  re-established after every insert), which makes it insert-order
-  invariant and gives ``merge(a, b) == sample(a ∪ b)``.
-* :class:`BoundedSpanLog` / :class:`BoundedCausalLog` — drop-in
-  ``SpanLog`` / ``CausalLog`` replacements that keep a reservoir sample
-  (weight = span duration / edge bytes) instead of every record, and
-  count what they shed (``obs.spans_dropped`` / ``obs.edges_dropped``).
+* :class:`ReservoirSample` (defined in :mod:`repro.obs.reservoir`) —
+  deterministic bottom-k sampling by a content hash (``blake2b``, never
+  Python's salted ``hash()``), plus an always-keep set of the
+  ``outliers`` heaviest records.  The retained set is a pure function of
+  the *offered* set (canonical form is re-established after every
+  insert), which makes it insert-order invariant and gives
+  ``merge(a, b) == sample(a ∪ b)``.  A ``SpanLog`` given a sample
+  capacity keeps one (weight = span duration) instead of every span and
+  counts what it sheds (``obs.spans_dropped``).
 * :class:`Snapshot` — the frozen, JSON-stable union of counters,
   gauge/histogram summaries, sketches, rings and sampled spans.
   ``Snapshot.merge()`` is the wire contract between future fleet
@@ -33,7 +32,9 @@ events a run produces, and everything merges:
   per-collector capacities with documented per-record byte estimates.
 * :class:`StreamingCollector` — the per-run owner of the above, with a
   registry-to-snapshot converter used by the workload driver and the
-  ``--live`` emitter.
+  ``--live`` emitter.  The workload driver is the one place a byte
+  budget becomes capacities; the causal log is never budgeted (it is a
+  single-join diagnostic, and single joins take no budget).
 
 Like the rest of ``repro.obs`` this module imports nothing from the rest
 of ``repro`` and nothing beyond the stdlib.
@@ -41,19 +42,16 @@ of ``repro`` and nothing beyond the stdlib.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .causality import CausalLog, MessageEdge
-from .timeline import Span, SpanLog
+from .reservoir import ReservoirSample
+from .timeline import SpanLog
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "BoundedCausalLog",
-    "BoundedSpanLog",
     "ObsBudget",
     "QuantileSketch",
     "ReservoirSample",
@@ -375,286 +373,28 @@ class TimeSeriesRing:
 
 
 # ----------------------------------------------------------------------
-# deterministic reservoir
-# ----------------------------------------------------------------------
-def _priority(ident: str) -> int:
-    """Deterministic sampling priority: a keyed content hash.
-
-    Never Python's builtin ``hash()`` — that is salted per interpreter
-    run and would make sampling (and snapshot bytes) irreproducible.
-    """
-    digest = hashlib.blake2b(ident.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class ReservoirSample:
-    """Bottom-k-by-hash sample plus an always-keep heavy-outlier set.
-
-    The retained set is *canonical*: after every insert it equals
-    ``bottom(sample)`` of the offered idents by ``(priority, ident)``
-    union ``top(outliers)`` by ``(-weight, priority, ident)``.  Because
-    that is a pure function of the offered set, insertion order never
-    matters and ``a.merge(b)`` retains exactly what a single reservoir
-    offered ``a ∪ b`` would — the property that makes shard samples
-    combinable.  ``dropped`` counts offered-but-shed records.
-    """
-
-    __slots__ = ("sample", "outliers", "total", "_items")
-
-    def __init__(self, sample: int, outliers: int = 0) -> None:
-        if sample < 1:
-            raise ValueError(f"reservoir sample must be >= 1, got {sample}")
-        if outliers < 0:
-            raise ValueError(f"outlier count must be >= 0, got {outliers}")
-        self.sample = int(sample)
-        self.outliers = int(outliers)
-        self.total = 0
-        #: ident -> (priority, weight, payload)
-        self._items: dict[str, tuple[int, float, Any]] = {}
-
-    def add(self, ident: str, weight: float, payload: Any) -> None:
-        self.total += 1
-        if ident not in self._items:
-            self._items[ident] = (_priority(ident), float(weight), payload)
-            self._trim()
-
-    def _trim(self) -> None:
-        if len(self._items) <= self.sample:
-            return
-        by_priority = sorted(self._items.items(),
-                             key=lambda kv: (kv[1][0], kv[0]))
-        keep = {k for k, _ in by_priority[: self.sample]}
-        if self.outliers:
-            by_weight = sorted(self._items.items(),
-                               key=lambda kv: (-kv[1][1], kv[1][0], kv[0]))
-            keep.update(k for k, _ in by_weight[: self.outliers])
-        if len(keep) < len(self._items):
-            self._items = {k: v for k, v in self._items.items() if k in keep}
-
-    def merge(self, other: ReservoirSample) -> ReservoirSample:
-        if (self.sample, self.outliers) != (other.sample, other.outliers):
-            raise ValueError(
-                "cannot merge reservoirs with different capacities: "
-                f"({self.sample},{self.outliers}) vs "
-                f"({other.sample},{other.outliers})"
-            )
-        out = ReservoirSample(self.sample, self.outliers)
-        out.total = self.total + other.total
-        out._items = dict(self._items)
-        for k, v in other._items.items():
-            out._items.setdefault(k, v)
-        out._trim()
-        return out
-
-    @property
-    def dropped(self) -> int:
-        return self.total - len(self._items)
-
-    def kept(self) -> list[tuple[str, float, Any]]:
-        """Retained ``(ident, weight, payload)`` in priority order."""
-        return [(k, v[1], v[2])
-                for k, v in sorted(self._items.items(),
-                                   key=lambda kv: (kv[1][0], kv[0]))]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, ident: str) -> bool:
-        return ident in self._items
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sample": self.sample,
-            "outliers": self.outliers,
-            "total": self.total,
-            "items": [
-                {"ident": ident, "weight": weight, "payload": payload}
-                for ident, weight, payload in self.kept()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> ReservoirSample:
-        out = cls(d["sample"], d["outliers"])
-        for item in d["items"]:
-            out._items[item["ident"]] = (
-                _priority(item["ident"]),
-                float(item["weight"]),
-                item["payload"],
-            )
-        out.total = int(d["total"])
-        out._trim()
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReservoirSample):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-
-# ----------------------------------------------------------------------
-# bounded span / causal logs
-# ----------------------------------------------------------------------
-class BoundedSpanLog(SpanLog):
-    """``SpanLog`` that keeps a deterministic sample instead of everything.
-
-    Sampling weight is the span's duration, so the ``outliers`` longest
-    spans are always retained (they are the ones critical-path and phase
-    reports care about); the rest are an unbiased-by-hash sample.
-    ``spans`` stays a list (sorted by start time) so every existing
-    consumer — ``PhaseTimeline``, exporters, reports — works unchanged.
-    """
-
-    def __init__(self, sample: int = DEFAULT_SPAN_SAMPLE,
-                 outliers: int = DEFAULT_SPAN_OUTLIERS) -> None:
-        # deliberately not calling super().__init__: ``spans`` is a
-        # property here, backed by the reservoir
-        self._reservoir = ReservoirSample(sample, outliers)
-        self._seq = 0
-        self._cache: list[Span] | None = None
-
-    @property
-    def spans(self) -> list[Span]:  # type: ignore[override]
-        if self._cache is None:
-            self._cache = sorted(
-                (payload for _, _, payload in self._reservoir.kept()),
-                key=lambda s: (s.t0, s.t1, s.track, s.name),
-            )
-        return self._cache
-
-    def add(self, track: str, name: str, t0: float, t1: float,
-            **args: Any) -> Span:
-        if t1 < t0:
-            raise ValueError(f"span {name!r} ends before it starts")
-        span = Span(track, name, t0, t1, args)
-        ident = f"{self._seq:08d}|{track}|{name}"
-        self._seq += 1
-        self._reservoir.add(ident, t1 - t0, span)
-        self._cache = None
-        return span
-
-    @property
-    def total(self) -> int:
-        return self._reservoir.total
-
-    @property
-    def dropped(self) -> int:
-        return self._reservoir.dropped
-
-
-class BoundedCausalLog(CausalLog):
-    """``CausalLog`` that samples edges instead of keeping all of them.
-
-    Sampling weight is the edge's wire bytes, so the heaviest transfers
-    are always retained.  Edge ids keep counting monotonically
-    (``total``), edge objects are shared with the network (delivery
-    stamps and retransmission counts mutate the same object whether or
-    not it is retained), and the query surface skips sampled-out parents
-    instead of indexing positionally.
-    """
-
-    def __init__(self, aliases: dict[str, str] | None = None,
-                 sample: int = DEFAULT_SPAN_SAMPLE,
-                 outliers: int = DEFAULT_SPAN_OUTLIERS) -> None:
-        # deliberately not calling super().__init__: ``edges`` is a
-        # property here, backed by the reservoir
-        self._aliases = dict(aliases or {})
-        self._cause = {}
-        self._pending = {}
-        self._reservoir = ReservoirSample(sample, outliers)
-        self._next_eid = 0
-        self._cache: list[MessageEdge] | None = None
-
-    @property
-    def edges(self) -> list[MessageEdge]:  # type: ignore[override]
-        if self._cache is None:
-            self._cache = sorted(
-                (payload for _, _, payload in self._reservoir.kept()),
-                key=lambda e: e.eid,
-            )
-        return self._cache
-
-    def on_send(self, src: str, dst: str, message: Any, t: float,
-                parent: int | None = None) -> MessageEdge:
-        if parent is None:
-            parent = self._cause.get(self.alias(src))
-        edge = MessageEdge(
-            eid=self._next_eid,
-            src=self.alias(src),
-            dst=self.alias(dst),
-            kind=message.kind,
-            msg_type=type(message).__name__,
-            hop=getattr(message, "hop", None),
-            nbytes=int(message.nbytes),
-            tuples=int(getattr(message, "tuples", 0) or 0),
-            t_send=t,
-            parent=parent,
-        )
-        self._next_eid += 1
-        self._reservoir.add(f"{edge.eid:012d}", float(edge.nbytes), edge)
-        self._cache = None
-        return edge
-
-    @property
-    def total(self) -> int:
-        return self._next_eid
-
-    @property
-    def dropped(self) -> int:
-        return self._reservoir.dropped
-
-    # -- query surface over the retained sample ------------------------
-    def _by_eid(self) -> dict[int, MessageEdge]:
-        return {e.eid: e for e in self.edges}
-
-    def edge(self, eid: int) -> MessageEdge:
-        try:
-            return self._by_eid()[eid]
-        except KeyError:
-            raise KeyError(f"edge {eid} was sampled out "
-                           f"(kept {len(self.edges)}/{self.total})") from None
-
-    def children(self, eid: int) -> list[MessageEdge]:
-        return [e for e in self.edges if e.parent == eid]
-
-    def request_pairs(
-        self, request_type: str, response_type: str
-    ) -> list[tuple[MessageEdge, MessageEdge]]:
-        by_eid = self._by_eid()
-        out: list[tuple[MessageEdge, MessageEdge]] = []
-        for e in self.edges:
-            if e.msg_type != response_type or e.parent is None:
-                continue
-            p = by_eid.get(e.parent)
-            if p is not None and p.msg_type == request_type:
-                out.append((p, e))
-        return out
-
-
-# ----------------------------------------------------------------------
 # byte budget
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ObsBudget:
     """Capacities derived from a ``--obs-budget`` byte budget.
 
-    The budget is split 40% spans / 30% causal edges / 15% rings /
-    15% sketch buckets, using conservative per-record byte estimates
-    (span ≈ 160 B, edge ≈ 200 B, ring bucket ≈ 48 B, sketch bucket
-    ≈ 16 B) with floors that keep tiny budgets functional.
+    The budget is split 40% spans / 15% rings / 15% sketch buckets,
+    using conservative per-record byte estimates (span ≈ 160 B, ring
+    bucket ≈ 48 B, sketch bucket ≈ 16 B) with floors that keep tiny
+    budgets functional.  The other 30% is left unallocated: handing it
+    to these collectors would change the capacities every existing
+    budget yields.
     """
 
     budget_bytes: int
     span_sample: int
     span_outliers: int
-    edge_sample: int
-    edge_outliers: int
     ring_buckets: int
     sketch_bins: int
 
     MIN_BYTES = 4096
     SPAN_BYTES = 160
-    EDGE_BYTES = 200
     RING_BUCKET_BYTES = 48
     SKETCH_BIN_BYTES = 16
 
@@ -667,14 +407,10 @@ class ObsBudget:
             )
         span_total = max(40, int(0.40 * budget_bytes) // cls.SPAN_BYTES)
         span_outliers = max(8, span_total // 5)
-        edge_total = max(40, int(0.30 * budget_bytes) // cls.EDGE_BYTES)
-        edge_outliers = max(8, edge_total // 5)
         return cls(
             budget_bytes=int(budget_bytes),
             span_sample=max(32, span_total - span_outliers),
             span_outliers=span_outliers,
-            edge_sample=max(32, edge_total - edge_outliers),
-            edge_outliers=edge_outliers,
             ring_buckets=max(16, int(0.15 * budget_bytes)
                              // cls.RING_BUCKET_BYTES),
             sketch_bins=max(64, int(0.15 * budget_bytes)
@@ -901,11 +637,11 @@ def merge_snapshots(snapshots: list[Snapshot]) -> Snapshot:
 class StreamingCollector:
     """Per-run owner of the streaming state + registry→snapshot bridge.
 
-    Unbudgeted, it owns a plain :class:`SpanLog` and unlimited-precision
-    sketches/rings at default capacities (reports are unchanged vs the
+    Unbudgeted, it owns a full-history :class:`SpanLog` and sketches/
+    rings at default capacities (reports are unchanged vs the
     full-history path, and drop counters stay zero).  With an
-    :class:`ObsBudget` it swaps in the bounded log variants and shrinks
-    every capacity to fit the byte budget.
+    :class:`ObsBudget` the span log keeps a sample of the budget's size
+    and every other capacity shrinks to fit the byte budget.
     """
 
     def __init__(self, clock: Any = None, budget: ObsBudget | None = None,
@@ -917,25 +653,13 @@ class StreamingCollector:
         self.shard = shard
         self.ring_resolution_s = ring_resolution_s
         self.alpha = alpha
-        self.spans: SpanLog = (
-            BoundedSpanLog(budget.span_sample, budget.span_outliers)
+        self.spans = (
+            SpanLog(budget.span_sample, budget.span_outliers)
             if budget is not None else SpanLog()
         )
         self.sketches: dict[str, QuantileSketch] = {}
         self.rings: dict[str, TimeSeriesRing] = {}
         self.snapshots_emitted = 0
-        self._causal_logs: list[CausalLog] = []
-
-    # -- construction helpers -----------------------------------------
-    def causal_log(self, aliases: dict[str, str] | None = None) -> CausalLog:
-        """A (budget-appropriate) causal log, registered for drop counts."""
-        log: CausalLog = (
-            BoundedCausalLog(aliases, self.budget.edge_sample,
-                             self.budget.edge_outliers)
-            if self.budget is not None else CausalLog(aliases)
-        )
-        self._causal_logs.append(log)
-        return log
 
     # -- ingest --------------------------------------------------------
     def observe(self, name: str, value: float, t: float | None = None) -> None:
@@ -954,16 +678,6 @@ class StreamingCollector:
             ring = self.rings[name] = TimeSeriesRing(
                 self.ring_resolution_s, buckets)
         ring.observe(t, value)
-
-    # -- drop accounting -----------------------------------------------
-    @property
-    def spans_dropped(self) -> int:
-        return self.spans.dropped if isinstance(self.spans, BoundedSpanLog) else 0
-
-    @property
-    def edges_dropped(self) -> int:
-        return sum(log.dropped for log in self._causal_logs
-                   if isinstance(log, BoundedCausalLog))
 
     # -- snapshot ------------------------------------------------------
     def snapshot(self, registry: Any = None, t: float | None = None) -> Snapshot:
@@ -993,22 +707,18 @@ class StreamingCollector:
                             "samples": inst.samples,
                         }
                 else:
-                    buckets = {}
-                    for i, bound in enumerate(inst.bounds):
-                        if inst.bucket_seconds[i]:
-                            buckets[f"le_{bound:g}"] = inst.bucket_seconds[i]
-                    if inst.bucket_seconds[-1]:
-                        buckets["overflow"] = inst.bucket_seconds[-1]
                     histograms[key] = {
                         "bounds": tuple(inst.bounds),
                         "high": inst.high,
                         "total_seconds": inst.total_seconds,
                         "weighted_sum": inst.weighted_sum,
-                        "buckets": buckets,
+                        "buckets": d["bucket_seconds"],
                     }
         counters["obs.snapshots_emitted"] = float(self.snapshots_emitted)
-        counters["obs.spans_dropped"] = float(self.spans_dropped)
-        counters["obs.edges_dropped"] = float(self.edges_dropped)
+        counters["obs.spans_dropped"] = float(self.spans.dropped)
+        # no causal log is ever budgeted; the counter stays for snapshot
+        # and report compatibility
+        counters["obs.edges_dropped"] = 0.0
 
         if self.budget is not None:
             span_sample = self.budget.span_sample
@@ -1026,8 +736,7 @@ class StreamingCollector:
                 "t1": s.t1,
                 "args": {k: str(v) for k, v in sorted(s.args.items())},
             })
-        if isinstance(self.spans, BoundedSpanLog):
-            spans.total = self.spans.total
+        spans.total = self.spans.total
 
         return Snapshot(
             t=t,

@@ -2,7 +2,8 @@
 
 Actors record :class:`Span` entries ("join3 ran its build phase from
 t=0.01 to t=2.4", "join5 shipped a split from t=1.1 to t=1.3") into a
-shared :class:`SpanLog`.  The driver folds them — together with the
+shared :class:`SpanLog`, which keeps every span or, given a capacity, a
+deterministic sample of them.  The driver folds them — together with the
 scheduler's phase boundaries — into a :class:`PhaseTimeline` attached to
 ``JoinRunResult``, which renders as a report and feeds the Chrome
 ``trace_event`` exporter.
@@ -10,16 +11,31 @@ scheduler's phase boundaries — into a :class:`PhaseTimeline` attached to
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Span", "SpanLog", "PhaseTimeline"]
+from .reservoir import ReservoirSample
+
+__all__ = ["Span", "SpanLog", "PhaseTimeline", "pad_columns"]
 
 #: track name used for the run-wide phase spans
 SCHEDULER_TRACK = "scheduler"
 
 #: span names the scheduler track uses, in phase order
 PHASE_NAMES = ("build", "reshuffle", "probe", "ooc")
+
+
+def pad_columns(rows: Sequence[Sequence[str]], sep: str) -> str:
+    """Rows of cells as text lines, each column padded to its widest
+    cell and trailing blanks stripped."""
+    if not rows:
+        return ""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        sep.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -48,17 +64,52 @@ class Span:
 
 
 class SpanLog:
-    """Append-only collection of spans, in recording order."""
+    """Spans as they are recorded: all of them, or a bounded sample.
 
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
+    With ``sample=None`` ``spans`` is one live list in recording order
+    (callers may hold on to it and see later spans).  With a ``sample``
+    capacity the log keeps a :class:`ReservoirSample` weighted by span
+    duration, so the ``outliers`` longest spans always survive (the ones
+    critical-path and phase reports care about); ``spans`` is then the
+    retained sample sorted by ``(t0, t1, track, name)``.  ``total``
+    counts every span offered and ``dropped`` the ones shed.
+    """
+
+    def __init__(self, sample: int | None = None, outliers: int = 0) -> None:
+        self._reservoir = (
+            None if sample is None else ReservoirSample(sample, outliers)
+        )
+        self._spans: list[Span] = []
+        self._stale = False
+        self.total = 0
+
+    @property
+    def spans(self) -> list[Span]:
+        if self._stale:
+            assert self._reservoir is not None
+            self._spans = sorted(
+                (payload for _, _, payload in self._reservoir.kept()),
+                key=lambda s: (s.t0, s.t1, s.track, s.name),
+            )
+            self._stale = False
+        return self._spans
+
+    @property
+    def dropped(self) -> int:
+        return 0 if self._reservoir is None else self._reservoir.dropped
 
     def add(self, track: str, name: str, t0: float, t1: float,
             **args: Any) -> Span:
         if t1 < t0:
             raise ValueError(f"span {name!r} ends before it starts")
         span = Span(track, name, t0, t1, args)
-        self.spans.append(span)
+        if self._reservoir is None:
+            self._spans.append(span)
+        else:
+            self._reservoir.add(f"{self.total:08d}|{track}|{name}",
+                                t1 - t0, span)
+            self._stale = True
+        self.total += 1
         return span
 
     def for_track(self, track: str) -> list[Span]:
@@ -104,15 +155,8 @@ class PhaseTimeline:
     def render(self) -> str:
         """Human-readable phase report: one line per span, per track,
         columns padded to the widest cell (not hard-coded widths)."""
-        rows = [
+        return pad_columns([
             span.cells()
             for track in self.tracks()
             for span in self.for_track(track)
-        ]
-        if not rows:
-            return ""
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        return "\n".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows
-        )
+        ], "  ")

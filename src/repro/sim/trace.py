@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from typing import Any
 
+from ..obs.timeline import pad_columns
+
 __all__ = ["TraceRecord", "Tracer"]
 
 
@@ -75,14 +77,7 @@ class Tracer:
 
     def format(self) -> str:
         """All records as text, columns padded to the widest cell."""
-        rows = [r.cells() for r in self.records]
-        if not rows:
-            return ""
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        return "\n".join(
-            " ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows
-        )
+        return pad_columns([r.cells() for r in self.records], " ")
 
     def __len__(self) -> int:
         return len(self.records)

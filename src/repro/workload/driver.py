@@ -344,9 +344,11 @@ def run_workload(
     # Budgeted runs publish their shed counts into the registry (so the
     # report shows them); unbudgeted runs publish nothing — the registry
     # snapshot is byte-for-byte what it was before streaming existed.
+    # No causal log is budgeted: ``obs.edges_dropped`` is always 0 and
+    # kept for report compatibility.
     if obs_budget is not None:
-        metrics.inc("obs.spans_dropped", collector.spans_dropped)
-        metrics.inc("obs.edges_dropped", collector.edges_dropped)
+        metrics.inc("obs.spans_dropped", spans.dropped)
+        metrics.inc("obs.edges_dropped", 0)
     if cfg.obs.live_interval_s is not None:
         metrics.inc("obs.snapshots_emitted", collector.snapshots_emitted)
     final_snapshot = collector.snapshot(registry=metrics)
@@ -362,6 +364,5 @@ def run_workload(
         timeline=PhaseTimeline(spans.spans),
         tracer=tracer,
         snapshot=final_snapshot,
-        spans_dropped=collector.spans_dropped,
-        edges_dropped=collector.edges_dropped,
+        spans_dropped=spans.dropped,
     )

@@ -109,9 +109,11 @@ class WorkloadResult:
     #: final mergeable observability snapshot (sketches, rings, sampled
     #: spans); the unit the future fleet layer ships between shards
     snapshot: Snapshot | None = None
-    #: records shed by the bounded collectors (zero unless a --obs-budget
+    #: spans shed by the budgeted span log (zero unless a --obs-budget
     #: was armed; nothing is ever silently truncated)
     spans_dropped: int = 0
+    #: always zero (no causal log is budgeted); kept for report
+    #: compatibility
     edges_dropped: int = 0
 
     # ------------------------------------------------------------------

@@ -341,3 +341,58 @@ def test_tail_rejects_garbage(tmp_path, capsys):
     rc = main(["tail", str(bad)])
     assert rc == 2
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["workload", "fleet"])
+def test_workload_and_fleet_write_all_four_files(command, tmp_path, capsys):
+    """--out, --metrics-out, --baseline and --snapshot-out each carry the
+    run they name: the baseline's makespan and p99 match the report, the
+    final snapshot counts every query, and the metrics JSONL is the run's
+    registry (the shared model registry for a workload, the fleet's own
+    wall-clock telemetry for a fleet)."""
+    import json as _json
+
+    paths = {k: tmp_path / f"{command}.{k}"
+             for k in ("out", "metrics-out", "baseline", "snapshot-out")}
+    extra = [command, "--format", "json", "--live-interval", "0.05"]
+    if command == "fleet":
+        extra += ["--shards", "2", "--cohorts", "2"]
+    for flag, path in paths.items():
+        extra += [f"--{flag}", str(path)]
+    rc = main(wl_args(extra))
+    printed = capsys.readouterr().out
+    assert rc == 0
+
+    doc = _json.loads(paths["out"].read_text())
+    assert doc["n_queries"] == 3 and doc["all_valid"] is True
+
+    metrics = [_json.loads(ln) for ln in
+               paths["metrics-out"].read_text().splitlines()]
+    assert f"wrote {paths['metrics-out']} ({len(metrics)} instruments)" in printed
+    by_name = {m["name"]: m for m in metrics}
+    if command == "workload":
+        assert by_name["workload.makespan_s"]["last"] == doc["makespan_s"]
+    else:
+        assert by_name["fleet.shards_launched"]["value"] == 2
+
+    series = "fifo" if command == "workload" else "poisson-fifo"
+    assert _json.loads(paths["baseline"].read_text()) == {
+        "benchmark": command,
+        "scale": 1.0,
+        "series": {series: {"3": {"total_s": doc["makespan_s"],
+                                  "build_s": doc["latency"]["p99"]}}},
+    }
+    wording = "workload" if command == "workload" else "fleet"
+    assert f"wrote {paths['baseline']} ({wording} baseline)" in printed
+
+    snaps = [_json.loads(ln) for ln in
+             paths["snapshot-out"].read_text().splitlines()]
+    assert len(snaps) >= 2  # periodic snapshot(s), then the final one
+    assert all(s["kind"] == "repro-snapshot" for s in snaps)
+    final = snaps[-1]
+    assert final["counters"]["workload.queries|algorithm=hybrid"] == 3
+    assert final["t"] == max(s["t"] for s in snaps)
+    stream = ("snapshot stream" if command == "workload"
+              else "merged snapshot stream")
+    assert f"wrote {paths['snapshot-out']} ({stream})" in printed
+    assert printed.count("live: t=") == len(snaps)

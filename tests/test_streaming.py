@@ -17,12 +17,11 @@ import pytest
 from repro.config import ObsConfig
 from repro.core import run_join
 from repro.obs import (
-    BoundedCausalLog,
-    BoundedSpanLog,
     ObsBudget,
     QuantileSketch,
     ReservoirSample,
     Snapshot,
+    SpanLog,
     StreamingCollector,
     TimeSeriesRing,
     merge_snapshots,
@@ -179,7 +178,6 @@ def test_obs_budget_floors_and_minimum():
         ObsBudget.from_bytes(4095)
     big = ObsBudget.from_bytes(1 << 20)
     assert big.span_sample > tiny.span_sample
-    assert big.edge_sample > tiny.edge_sample
 
 
 # ----------------------------------------------------------------------
@@ -290,25 +288,8 @@ def test_budgeted_workload_sheds_loudly_but_answers_exactly():
     assert res.snapshot.counter_total("obs.spans_dropped") == res.spans_dropped
 
 
-def test_budgeted_single_query_bounds_causal_log():
-    res = run_join(small_config(obs_budget_bytes=4096))
-    assert isinstance(res.causal, BoundedCausalLog)
-    assert res.causal.dropped > 0  # small joins still send hundreds of msgs
-    dropped = {
-        i["name"]: i["value"] for i in res.metrics
-        if i["name"].startswith("obs.")
-    }
-    assert dropped["obs.edges_dropped"] == res.causal.dropped
-    # sampled-out edges are gone but lookups fail loudly, not wrongly
-    kept = {e.eid for e in res.causal.edges}
-    missing = next(i for i in range(res.causal.total) if i not in kept)
-    with pytest.raises(KeyError):
-        res.causal.edge(missing)
-
-
 def test_unbudgeted_single_query_keeps_plain_logs():
     res = run_join(small_config())
-    assert not isinstance(res.causal, BoundedCausalLog)
     assert not any(i["name"].startswith("obs.") for i in res.metrics)
 
 
@@ -370,7 +351,7 @@ def test_live_interval_emits_periodic_snapshots():
 
 
 def test_bounded_span_log_drops_shortest_first():
-    log = BoundedSpanLog(sample=4, outliers=2)
+    log = SpanLog(sample=4, outliers=2)
     for i in range(50):
         log.add("track", f"op{i}", float(i), float(i) + 0.001 * (i + 1))
     log.add("track", "slow", 100.0, 200.0)
