@@ -13,6 +13,7 @@ oracle unless constructed with ``validate=False``.
 
 from __future__ import annotations
 
+from typing import Any
 
 from ..analysis import FigureReport, OverheadModel, load_balance
 from ..config import (
@@ -73,16 +74,11 @@ class FigureHarness:
     ) -> JoinRunResult:
         key = (algo, initial_nodes, r_m, s_m, tuple_bytes, sigma, pool)
         if key not in self._cache:
-            wl = WorkloadSpec(
-                r_tuples=r_m * MTUPLES,
-                s_tuples=s_m * MTUPLES,
-                tuple_bytes=tuple_bytes,
-                distribution=(
-                    Distribution.UNIFORM if sigma is None else Distribution.GAUSSIAN
-                ),
-                gauss_sigma=sigma if sigma is not None else 0.001,
-                scale=self.scale,
-            )
+            skew: dict[str, Any] = {} if sigma is None else {
+                "distribution": Distribution.GAUSSIAN, "gauss_sigma": sigma,
+            }
+            wl = WorkloadSpec(r_tuples=r_m * MTUPLES, s_tuples=s_m * MTUPLES,
+                              tuple_bytes=tuple_bytes, scale=self.scale, **skew)
             cfg = RunConfig(
                 algorithm=algo,
                 initial_nodes=initial_nodes,
@@ -92,9 +88,6 @@ class FigureHarness:
             )
             self._cache[key] = run_join(cfg, validate=self.validate)
         return self._cache[key]
-
-    def _paper_s(self, result: JoinRunResult) -> float:
-        return result.paper_scale_total_s
 
     # ------------------------------------------------------------------
     # machine-readable baseline (regression tracking)
@@ -118,7 +111,7 @@ class FigureHarness:
             "series": {
                 a.value: {
                     str(k): {
-                        "total_s": round(self._paper_s(res[a, k]), 6),
+                        "total_s": round(res[a, k].paper_scale_total_s, 6),
                         "build_s": round(
                             res[a, k].times.build_s / self.scale, 6
                         ),
@@ -148,9 +141,9 @@ class FigureHarness:
         )
         for k in self.INITIAL_NODES:
             rep.rows.append(
-                [k] + [self._paper_s(res[a, k]) for a in ALGORITHMS]
+                [k] + [res[a, k].paper_scale_total_s for a in ALGORITHMS]
             )
-        t = {(a, k): self._paper_s(res[a, k])
+        t = {(a, k): res[a, k].paper_scale_total_s
              for a in ALGORITHMS for k in self.INITIAL_NODES}
         ooc = Algorithm.OUT_OF_CORE
         rep.check(
@@ -321,7 +314,7 @@ class FigureHarness:
             ["table size (M)"] + [_LABEL[a] for a in ALGORITHMS],
         )
         t = {
-            (a, m): self._paper_s(res[a, m])
+            (a, m): res[a, m].paper_scale_total_s
             for a in ALGORITHMS for m in self.TABLE_SIZES_M
         }
         for m in self.TABLE_SIZES_M:
@@ -361,7 +354,7 @@ class FigureHarness:
             ["tuple bytes"] + [_LABEL[a] for a in ALGORITHMS],
         )
         t = {
-            (a, tb): self._paper_s(res[a, tb])
+            (a, tb): res[a, tb].paper_scale_total_s
             for a in ALGORITHMS for tb in self.TUPLE_BYTES
         }
         for tb in self.TUPLE_BYTES:
@@ -403,9 +396,9 @@ class FigureHarness:
         for key, label in (("R10_S100", "R=10M, S=100M"),
                            ("R100_S10", "R=100M, S=10M")):
             rep.rows.append(
-                [label] + [self._paper_s(res[a, key]) for a in ALGORITHMS]
+                [label] + [res[a, key].paper_scale_total_s for a in ALGORITHMS]
             )
-        small = {a: self._paper_s(res[a, "R10_S100"]) for a in ALGORITHMS}
+        small = {a: res[a, "R10_S100"].paper_scale_total_s for a in ALGORITHMS}
         rep.check(
             "split & hybrid win when probing with the larger relation "
             "(R=10M, S=100M)",
@@ -492,7 +485,7 @@ class FigureHarness:
             "(R=S=10M, 4 initial nodes)",
             ["distribution"] + [_LABEL[a] for a in ALGORITHMS],
         )
-        t = {(a, s): self._paper_s(res[a, s])
+        t = {(a, s): res[a, s].paper_scale_total_s
              for a in ALGORITHMS for s in self.SKEWS}
         for s in self.SKEWS:
             rep.rows.append(

@@ -10,6 +10,11 @@ Scaling: the paper runs 10M-100M tuple relations.  ``WorkloadSpec.scale``
 shrinks tuple counts, the chunk size and per-node memory budgets *together*,
 preserving every ratio the algorithms react to (expansion factor, chunk
 counts, spill fractions).  The default benchmarks use scale = 1/50.
+
+Every value check lives here, in the dataclasses' ``__post_init__``: a
+config that constructs is one the simulator can run, so a bad value fails
+when the config is built, never mid-run.  The CLI (``repro.cli``) takes its
+flag defaults from these field defaults and only folds flags into configs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "FleetConfig",
     "MTUPLES",
     "DEFAULT_SCALE",
+    "DRAIN_POLL_S",
 ]
 
 #: convenience: 1 "M tuples" in the paper's units
@@ -42,6 +48,11 @@ MTUPLES = 1_000_000
 
 #: default down-scaling for benchmarks (10M paper tuples -> 200k real tuples)
 DEFAULT_SCALE = 1.0 / 50.0
+
+#: scheduler and pool poll interval for drain/termination detection and
+#: parked-recruit deadlines, in paper-scale seconds (co-scaled with the
+#: workload like the other fixed time costs)
+DRAIN_POLL_S = 0.010
 
 
 class Algorithm(enum.Enum):
@@ -201,6 +212,15 @@ class ClusterSpec:
     cost: CostModel = field(default_factory=CostModel)
     topology: Topology = Topology.SWITCHED
 
+    def __post_init__(self) -> None:
+        if min(self.n_sources, self.n_potential_nodes,
+               self.hash_memory_bytes) < 1:
+            raise ValueError(
+                f"n_sources, n_potential_nodes and hash_memory_bytes must be "
+                f">= 1, got {self.n_sources}, {self.n_potential_nodes}, "
+                f"{self.hash_memory_bytes}"
+            )
+
     def memory_of(self, node_index: int) -> int:
         """Hash-table memory budget of potential join node ``node_index``."""
         for idx, mem in self.node_memory_overrides:
@@ -230,6 +250,10 @@ class WorkloadSpec:
     reports total tuple sizes of 100/200/400 bytes, which we adopt as
     ``tuple_bytes``.  ``r_tuples``/``s_tuples`` are in *paper units*
     (pre-scale); real generated counts are ``int(x * scale)``.
+
+    Validation covers what :func:`repro.data.draw_values` needs for each
+    relation (R, and S with its overrides): ``gauss_sigma > 0`` under
+    GAUSSIAN and ``zipf_s > 1`` under ZIPF.
     """
 
     r_tuples: int = 10 * MTUPLES
@@ -260,6 +284,17 @@ class WorkloadSpec:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
         if self.chunk_tuples < 1:
             raise ValueError("chunk_tuples must be >= 1")
+        for relation in ("R", "S"):
+            distribution, _, sigma = self.params_for(relation)
+            if distribution is Distribution.GAUSSIAN and sigma <= 0:
+                raise ValueError(
+                    f"gauss_sigma of {relation} must be > 0 under GAUSSIAN, "
+                    f"got {sigma}"
+                )
+            if distribution is Distribution.ZIPF and self.zipf_s <= 1.0:
+                raise ValueError(
+                    f"zipf_s must be > 1 under ZIPF, got {self.zipf_s}"
+                )
 
     def params_for(self, relation: str) -> tuple[Distribution, float, float]:
         """(distribution, gauss_mean, gauss_sigma) for one relation."""
@@ -303,22 +338,19 @@ class ObsConfig:
 
     ``live_interval_s`` turns on the periodic snapshot emitter (one
     mergeable :class:`repro.obs.Snapshot` per interval of simulated
-    time); ``shard`` names this run in merged snapshots.
+    time); ``shard`` names this run in merged snapshots.  Time-series
+    rings use ``repro.obs.streaming.DEFAULT_RING_RESOLUTION_S``.
     """
 
     budget_bytes: int | None = None
     live_interval_s: float | None = None
     shard: str = "shard0"
-    #: simulated seconds per time-series ring bucket
-    ring_resolution_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.budget_bytes is not None:
             ObsBudget.from_bytes(self.budget_bytes)  # below MIN_BYTES: raises
         if self.live_interval_s is not None and self.live_interval_s <= 0:
             raise ValueError("live_interval_s must be > 0 (or None)")
-        if self.ring_resolution_s <= 0:
-            raise ValueError("ring_resolution_s must be > 0")
         if not self.shard or any(c in self.shard for c in ",|"):
             raise ValueError(
                 f"shard name must be non-empty without ','/'|', "
@@ -351,7 +383,9 @@ class QueryMixEntry:
     """One query class in a workload mix (weighted random selection).
 
     Sizes are in *paper units* like :class:`WorkloadSpec`; the workload's
-    shared ``scale`` applies to every query.
+    shared ``scale`` applies to every query.  The data-shape fields are
+    checked by building the class's :meth:`spec`, so an entry is valid
+    exactly when the :class:`WorkloadSpec` its queries run would be.
     """
 
     weight: float = 1.0
@@ -369,10 +403,19 @@ class QueryMixEntry:
             raise ValueError(f"mix weight must be > 0, got {self.weight}")
         if self.r_tuples < 1 or self.s_tuples < 1:
             raise ValueError("mix entry relation sizes must be >= 1 tuple")
-        if self.tuple_bytes < 16:
-            raise ValueError("tuple_bytes must cover the two 64-bit fields")
         if self.initial_nodes < 1:
             raise ValueError("mix entry initial_nodes must be >= 1")
+        self.spec()
+
+    def spec(self, scale: float = DEFAULT_SCALE,
+             seed: int = WorkloadSpec.seed) -> WorkloadSpec:
+        """The data shape of one query of this class."""
+        return WorkloadSpec(
+            r_tuples=self.r_tuples, s_tuples=self.s_tuples,
+            tuple_bytes=self.tuple_bytes, distribution=self.distribution,
+            gauss_mean=self.gauss_mean, gauss_sigma=self.gauss_sigma,
+            scale=scale, seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -400,13 +443,12 @@ class WorkloadConfig:
     #: (FAIR_SHARE policy only)
     fair_share_cap: int = 4
     #: how long a recruit request may stay parked before it is denied
-    #: (simulated seconds); None derives ~200 drain-poll intervals.  Must
+    #: (simulated seconds); None derives 200 drain-poll intervals.  Must
     #: be finite: a bounded wait is what guarantees denial degrades to the
     #: OOC spill path instead of deadlocking an admission behind it.
     grant_timeout_s: float | None = None
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     scale: float = DEFAULT_SCALE
-    drain_poll_interval: float = 0.010
     trace: bool = False
     #: shared fault plan (link drops / slowdowns / dormant-node crashes);
     #: workload mode forbids ack drops and phase-triggered crashes (see
@@ -475,7 +517,7 @@ class WorkloadConfig:
         """Parked-recruit deadline in simulated seconds."""
         if self.grant_timeout_s is not None:
             return self.grant_timeout_s
-        return 200.0 * self.drain_poll_interval * self.scale
+        return 200.0 * DRAIN_POLL_S * self.scale
 
 
 @dataclass(frozen=True)
@@ -533,8 +575,6 @@ class RunConfig:
     #: to disk or forwarded to the client"; materialization is the
     #: multi-way-join scenario of §6's future work)
     materialize_output: bool = False
-    #: logical bytes per materialized output pair (r + s tuple)
-    output_pair_bytes: int = 200
     #: probe-phase expansion (paper footnote 1): when materialized output
     #: overflows a node's memory, recruit a fresh node as an output sink
     #: and forward further pairs there; without it, overflow spills to the
@@ -543,8 +583,6 @@ class RunConfig:
     #: data sources read the relations from their local disks instead of
     #: generating them on the fly (both modes appear in paper §4.1.2)
     sources_from_disk: bool = False
-    #: scheduler poll interval for drain/termination detection (seconds)
-    drain_poll_interval: float = 0.010
     trace: bool = True
     #: cap on retained trace records (None = unbounded); with a bound the
     #: tracer keeps the most recent records and counts the dropped ones
@@ -579,4 +617,9 @@ class RunConfig:
     @property
     def effective_drain_poll(self) -> float:
         """Drain poll interval, co-scaled like the other fixed time costs."""
-        return self.drain_poll_interval * self.workload.scale
+        return DRAIN_POLL_S * self.workload.scale
+
+    @property
+    def output_pair_bytes(self) -> int:
+        """Logical bytes per materialized output pair (an r and an s tuple)."""
+        return 2 * self.workload.tuple_bytes

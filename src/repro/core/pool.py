@@ -120,10 +120,10 @@ class ResourcePoolProcess:
         free_nodes: list[int],
         sched_nodes: dict[int, Node],
         *,
-        policy: PoolPolicy = PoolPolicy.FIFO,
-        fair_share_cap: int = 4,
-        grant_timeout_s: float = 0.1,
-        poll_interval: float = 0.001,
+        policy: PoolPolicy,
+        fair_share_cap: int,
+        grant_timeout_s: float,
+        poll_interval: float,
         memory_of: Callable[[int], int] = lambda j: 0,
         metrics: Any = None,
         trace: Callable[..., None] | None = None,

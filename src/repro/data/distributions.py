@@ -52,10 +52,8 @@ def _gaussian(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np
     Clipping (rather than rejection) matches the paper's "user-specified
     mean and standard deviation ... value range": out-of-range draws pile on
     the borders, a negligible mass for the paper's (mean=0.5, sigma<=0.001)
-    settings.
+    settings.  ``WorkloadSpec`` guarantees ``sigma > 0``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     unit = rng.normal(loc=mean, scale=sigma, size=n)
     np.clip(unit, 0.0, 1.0 - 2.0**-53, out=unit)
     return (unit * VALUE_SPACE).astype(np.uint64)
@@ -66,10 +64,9 @@ def _zipf(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
 
     Rank k (1-based) maps to a fixed pseudo-random grid point so that the
     hottest values are not adjacent — isolating duplicate-skew from
-    cluster-skew (the Gaussian case).
+    cluster-skew (the Gaussian case).  ``WorkloadSpec`` guarantees
+    ``s > 1``.
     """
-    if s <= 1.0:
-        raise ValueError("zipf exponent must be > 1")
     ranks = rng.zipf(s, size=n).astype(np.uint64)
     # Golden-ratio multiplicative hash sends rank -> grid point, bijective
     # on the 2**VALUE_BITS grid because the multiplier is odd.

@@ -11,6 +11,7 @@ of ``repro`` and nothing beyond the stdlib.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from typing import Any
 
 __all__ = ["ReservoirSample"]
@@ -56,6 +57,15 @@ class ReservoirSample:
         if ident not in self._items:
             self._items[ident] = (_priority(ident), float(weight), payload)
             self._trim()
+
+    def extend(self, records: Iterable[tuple[str, float, Any]]) -> None:
+        """Offer ``(ident, weight, payload)`` records, trimming once at the
+        end: the retained set depends only on the set offered."""
+        for ident, weight, payload in records:
+            self.total += 1
+            if ident not in self._items:
+                self._items[ident] = (_priority(ident), float(weight), payload)
+        self._trim()
 
     def _trim(self) -> None:
         if len(self._items) <= self.sample:

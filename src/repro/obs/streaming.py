@@ -646,12 +646,10 @@ class StreamingCollector:
 
     def __init__(self, clock: Any = None, budget: ObsBudget | None = None,
                  shard: str = "shard0",
-                 ring_resolution_s: float = DEFAULT_RING_RESOLUTION_S,
                  alpha: float = DEFAULT_ALPHA) -> None:
         self.clock = clock or (lambda: 0.0)
         self.budget = budget
         self.shard = shard
-        self.ring_resolution_s = ring_resolution_s
         self.alpha = alpha
         self.spans = (
             SpanLog(budget.span_sample, budget.span_outliers)
@@ -676,7 +674,7 @@ class StreamingCollector:
             buckets = (self.budget.ring_buckets if self.budget is not None
                        else DEFAULT_RING_BUCKETS)
             ring = self.rings[name] = TimeSeriesRing(
-                self.ring_resolution_s, buckets)
+                DEFAULT_RING_RESOLUTION_S, buckets)
         ring.observe(t, value)
 
     # -- snapshot ------------------------------------------------------
@@ -720,22 +718,23 @@ class StreamingCollector:
         # and report compatibility
         counters["obs.edges_dropped"] = 0.0
 
-        if self.budget is not None:
-            span_sample = self.budget.span_sample
-            span_outliers = self.budget.span_outliers
-        else:
-            span_sample = DEFAULT_SPAN_SAMPLE
-            span_outliers = DEFAULT_SPAN_OUTLIERS
-        spans = ReservoirSample(span_sample, span_outliers)
-        for i, s in enumerate(self.spans.spans):
-            ident = f"{self.shard}|{i:08d}|{s.track}|{s.name}"
-            spans.add(ident, s.duration, {
+        spans = (
+            ReservoirSample(self.budget.span_sample, self.budget.span_outliers)
+            if self.budget is not None
+            else ReservoirSample(DEFAULT_SPAN_SAMPLE, DEFAULT_SPAN_OUTLIERS)
+        )
+        # one trim after offering every span (the retained set depends
+        # only on the set offered), not one sort per span past capacity
+        spans.extend(
+            (f"{self.shard}|{i:08d}|{s.track}|{s.name}", s.duration, {
                 "track": s.track,
                 "name": s.name,
                 "t0": s.t0,
                 "t1": s.t1,
                 "args": {k: str(v) for k, v in sorted(s.args.items())},
             })
+            for i, s in enumerate(self.spans.spans)
+        )
         spans.total = self.spans.total
 
         return Snapshot(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cluster import WorkloadCluster
-from ..config import Algorithm, WorkloadConfig
+from ..config import DRAIN_POLL_S, Algorithm, WorkloadConfig
 from ..core.context import RunContext
 from ..core.driver import assemble_result, spawn_query_pipeline
 from ..core.joinnode import JoinProcess
@@ -227,7 +227,6 @@ def run_workload(
         clock=lambda: sim.now,
         budget=obs_budget,
         shard=cfg.obs.shard,
-        ring_resolution_s=cfg.obs.ring_resolution_s,
     )
     spans: SpanLog = collector.spans
     tracer = Tracer(enabled=cfg.trace, maxlen=None)
@@ -255,7 +254,7 @@ def run_workload(
         policy=cfg.policy,
         fair_share_cap=cfg.fair_share_cap,
         grant_timeout_s=cfg.effective_grant_timeout,
-        poll_interval=cfg.drain_poll_interval * cfg.scale,
+        poll_interval=DRAIN_POLL_S * cfg.scale,
         memory_of=cluster_spec.memory_of,
         metrics=metrics,
         trace=trace,

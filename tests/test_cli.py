@@ -88,6 +88,26 @@ def test_zipf_exponent_must_exceed_one(capsys):
     assert "must be > 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--initial-nodes", "30"],
+    ["run", "--trace-buffer", "0"],
+    ["run", "--pool", "0"],
+    ["run", "--sigma", "-1"],
+    ["run", "--initial-nodes", "2,4"],
+    ["sweep", "--initial-nodes", "1,30", "--algorithms", "ooc"],
+    ["workload", "--mix", "hybrid:1:0.1:0.1:2:-1"],
+], ids=" ".join)
+def test_bad_config_exits_2_with_one_line_before_simulating(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no cell ran, not even sweep's valid first
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"{argv[0]}: ")
+
+
 def test_trace_command_writes_chrome_json(tmp_path, capsys):
     import json
 

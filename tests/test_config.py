@@ -91,8 +91,7 @@ def test_run_config_effective_cluster_scales_with_workload():
     cfg = RunConfig(workload=WorkloadSpec(scale=0.5))
     eff = cfg.effective_cluster
     assert eff.hash_memory_bytes == ClusterSpec().hash_memory_bytes // 2
-    assert cfg.effective_drain_poll == pytest.approx(
-        cfg.drain_poll_interval * 0.5)
+    assert cfg.effective_drain_poll == pytest.approx(0.010 * 0.5)
 
 
 def test_default_calibration_sixteen_nodes_hold_ten_million_tuples():
@@ -185,6 +184,60 @@ def test_workload_config_fault_restrictions():
 def test_workload_config_effective_grant_timeout():
     assert WorkloadConfig(grant_timeout_s=1.25).effective_grant_timeout \
         == pytest.approx(1.25)
-    derived = WorkloadConfig(scale=0.02, drain_poll_interval=0.010)
+    derived = WorkloadConfig(scale=0.02)
     assert derived.effective_grant_timeout == pytest.approx(
         200.0 * 0.010 * 0.02)
+
+
+# ----------------------------------------------------------------------
+# data shape: what draw_values would otherwise reject mid-run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kw", [
+    dict(distribution=Distribution.ZIPF, zipf_s=0.5),
+    dict(distribution=Distribution.ZIPF, zipf_s=1.0),
+    dict(distribution=Distribution.GAUSSIAN, gauss_sigma=0.0),
+    dict(distribution=Distribution.GAUSSIAN, gauss_sigma=-1.0),
+    # S's overrides are checked like R's
+    dict(s_distribution=Distribution.GAUSSIAN, s_gauss_sigma=-0.1),
+    dict(distribution=Distribution.GAUSSIAN, s_gauss_sigma=0.0),
+    dict(s_distribution=Distribution.ZIPF, zipf_s=1.0),
+], ids=["zipf-0.5", "zipf-1", "sigma-0", "sigma-neg", "s-sigma-neg",
+        "s-override-0", "s-zipf-1"])
+def test_workload_spec_rejects_undrawable_skew(kw):
+    with pytest.raises(ValueError):
+        WorkloadSpec(**kw)
+
+
+def test_workload_spec_ignores_parameters_of_unused_distributions():
+    # a sigma or exponent that no relation draws from is never used
+    assert WorkloadSpec(gauss_sigma=-1.0, zipf_s=0.5).distribution \
+        is Distribution.UNIFORM
+    assert WorkloadSpec(distribution=Distribution.ZIPF, zipf_s=1.2,
+                        gauss_sigma=0.0).zipf_s == 1.2
+
+
+def test_mix_entry_shares_the_workload_spec_data_checks():
+    with pytest.raises(ValueError, match="gauss_sigma"):
+        QueryMixEntry(distribution=Distribution.GAUSSIAN, gauss_sigma=-1.0)
+    with pytest.raises(ValueError, match="tuple_bytes"):
+        QueryMixEntry(tuple_bytes=8)
+    entry = QueryMixEntry(distribution=Distribution.GAUSSIAN,
+                          gauss_sigma=0.01, tuple_bytes=200)
+    spec = entry.spec(scale=0.5, seed=3)
+    assert (spec.gauss_sigma, spec.tuple_bytes, spec.scale, spec.seed) == (
+        0.01, 200, 0.5, 3)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n_sources=0), dict(n_potential_nodes=0), dict(hash_memory_bytes=0),
+], ids=["no-sources", "no-pool", "no-memory"])
+def test_cluster_spec_validation(kw):
+    with pytest.raises(ValueError):
+        ClusterSpec(**kw)
+
+
+def test_output_pair_bytes_is_one_r_and_one_s_tuple():
+    assert RunConfig().output_pair_bytes == 200
+    assert RunConfig(
+        workload=WorkloadSpec(tuple_bytes=400)
+    ).output_pair_bytes == 800
