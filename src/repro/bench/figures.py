@@ -89,6 +89,9 @@ class FigureHarness:
             self._cache[key] = run_join(cfg, validate=self.validate)
         return self._cache[key]
 
+    def _paper_s(self, result: JoinRunResult) -> float:
+        return result.paper_scale_total_s
+
     # ------------------------------------------------------------------
     # machine-readable baseline (regression tracking)
     # ------------------------------------------------------------------
@@ -111,7 +114,7 @@ class FigureHarness:
             "series": {
                 a.value: {
                     str(k): {
-                        "total_s": round(res[a, k].paper_scale_total_s, 6),
+                        "total_s": round(self._paper_s(res[a, k]), 6),
                         "build_s": round(
                             res[a, k].times.build_s / self.scale, 6
                         ),
@@ -141,9 +144,9 @@ class FigureHarness:
         )
         for k in self.INITIAL_NODES:
             rep.rows.append(
-                [k] + [res[a, k].paper_scale_total_s for a in ALGORITHMS]
+                [k] + [self._paper_s(res[a, k]) for a in ALGORITHMS]
             )
-        t = {(a, k): res[a, k].paper_scale_total_s
+        t = {(a, k): self._paper_s(res[a, k])
              for a in ALGORITHMS for k in self.INITIAL_NODES}
         ooc = Algorithm.OUT_OF_CORE
         rep.check(
@@ -314,7 +317,7 @@ class FigureHarness:
             ["table size (M)"] + [_LABEL[a] for a in ALGORITHMS],
         )
         t = {
-            (a, m): res[a, m].paper_scale_total_s
+            (a, m): self._paper_s(res[a, m])
             for a in ALGORITHMS for m in self.TABLE_SIZES_M
         }
         for m in self.TABLE_SIZES_M:
@@ -354,7 +357,7 @@ class FigureHarness:
             ["tuple bytes"] + [_LABEL[a] for a in ALGORITHMS],
         )
         t = {
-            (a, tb): res[a, tb].paper_scale_total_s
+            (a, tb): self._paper_s(res[a, tb])
             for a in ALGORITHMS for tb in self.TUPLE_BYTES
         }
         for tb in self.TUPLE_BYTES:
@@ -396,9 +399,9 @@ class FigureHarness:
         for key, label in (("R10_S100", "R=10M, S=100M"),
                            ("R100_S10", "R=100M, S=10M")):
             rep.rows.append(
-                [label] + [res[a, key].paper_scale_total_s for a in ALGORITHMS]
+                [label] + [self._paper_s(res[a, key]) for a in ALGORITHMS]
             )
-        small = {a: res[a, "R10_S100"].paper_scale_total_s for a in ALGORITHMS}
+        small = {a: self._paper_s(res[a, "R10_S100"]) for a in ALGORITHMS}
         rep.check(
             "split & hybrid win when probing with the larger relation "
             "(R=10M, S=100M)",
@@ -485,7 +488,7 @@ class FigureHarness:
             "(R=S=10M, 4 initial nodes)",
             ["distribution"] + [_LABEL[a] for a in ALGORITHMS],
         )
-        t = {(a, s): res[a, s].paper_scale_total_s
+        t = {(a, s): self._paper_s(res[a, s])
              for a in ALGORITHMS for s in self.SKEWS}
         for s in self.SKEWS:
             rep.rows.append(

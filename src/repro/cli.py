@@ -454,8 +454,9 @@ def _run_with_snapshots(
     _refuse_overwrite(args, args.out, args.metrics_out, args.baseline,
                       args.snapshot_out)
     live = args.live or args.live_interval is not None
-    snap_fh = (open(args.snapshot_out, "w", encoding="utf-8")
-               if args.snapshot_out else None)
+    snap_fh = None
+    if args.snapshot_out:
+        snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
 
     def on_snapshot(snap: Snapshot) -> None:
         if live:
@@ -489,14 +490,24 @@ def _write_workload_outputs(
     _write_or_print(args, payload, args.format)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in metrics_to_jsonl(res.metrics))
+            for line in metrics_to_jsonl(res.metrics):
+                fh.write(line + "\n")
         print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
     if args.baseline:
         # bench-diff's schema keys are fixed (total_s / build_s); for a
         # workload they carry makespan and p99 latency respectively.
-        point = {"total_s": res.makespan_s, "build_s": p99}
-        base = {"benchmark": benchmark, "scale": wl.scale,
-                "series": {series: {str(wl.n_queries): point}}}
+        base = {
+            "benchmark": benchmark,
+            "scale": wl.scale,
+            "series": {
+                series: {
+                    str(wl.n_queries): {
+                        "total_s": res.makespan_s,
+                        "build_s": p99,
+                    }
+                }
+            },
+        }
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(base, fh, indent=2)
             fh.write("\n")
@@ -584,8 +595,10 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
             diff = diff_baselines(old, new, threshold_pct=args.threshold)
     except (BaselineError, ValueError) as exc:
         raise _Refusal(str(exc)) from None
-    print(json.dumps(diff.to_dict(), indent=1) if args.format == "json"
-          else diff.to_text())
+    if args.format == "json":
+        print(json.dumps(diff.to_dict(), indent=1))
+    else:
+        print(diff.to_text())
     return 0 if diff.ok else 1
 
 
@@ -666,9 +679,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
                               select=args.select)
     except LintError as exc:
         raise _Refusal(str(exc)) from None
-    report = {"json": report_json, "sarif": report_sarif}.get(
-        args.format, report_text)
-    report(violations, sys.stdout)
+    if args.format == "json":
+        report_json(violations, sys.stdout)
+    elif args.format == "sarif":
+        report_sarif(violations, sys.stdout)
+    else:
+        report_text(violations, sys.stdout)
     if args.baseline:
         try:
             with open(args.baseline, encoding="utf-8") as fh:
@@ -727,7 +743,7 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--membership", action="store_true",
                    help="arm the control-plane fault-tolerance layer "
                         "(heartbeat failure detector + standby scheduler; "
-                        "single-query only, see docs/FAULTS.md)")
+                        "see docs/FAULTS.md)")
     p.add_argument("--heartbeat-interval", type=float, default=None,
                    metavar="S",
                    help="heartbeat period in simulated seconds (implies "

@@ -443,7 +443,7 @@ class WorkloadConfig:
     #: (FAIR_SHARE policy only)
     fair_share_cap: int = 4
     #: how long a recruit request may stay parked before it is denied
-    #: (simulated seconds); None derives 200 drain-poll intervals.  Must
+    #: (simulated seconds); None derives ~200 drain-poll intervals.  Must
     #: be finite: a bounded wait is what guarantees denial degrades to the
     #: OOC spill path instead of deadlocking an admission behind it.
     grant_timeout_s: float | None = None

@@ -645,12 +645,10 @@ class StreamingCollector:
     """
 
     def __init__(self, clock: Any = None, budget: ObsBudget | None = None,
-                 shard: str = "shard0",
-                 alpha: float = DEFAULT_ALPHA) -> None:
+                 shard: str = "shard0") -> None:
         self.clock = clock or (lambda: 0.0)
         self.budget = budget
         self.shard = shard
-        self.alpha = alpha
         self.spans = (
             SpanLog(budget.span_sample, budget.span_outliers)
             if budget is not None else SpanLog()
@@ -667,7 +665,7 @@ class StreamingCollector:
         if sk is None:
             bins = (self.budget.sketch_bins if self.budget is not None
                     else DEFAULT_MAX_BINS)
-            sk = self.sketches[name] = QuantileSketch(self.alpha, bins)
+            sk = self.sketches[name] = QuantileSketch(DEFAULT_ALPHA, bins)
         sk.add(value)
         ring = self.rings.get(name)
         if ring is None:
@@ -718,11 +716,13 @@ class StreamingCollector:
         # and report compatibility
         counters["obs.edges_dropped"] = 0.0
 
-        spans = (
-            ReservoirSample(self.budget.span_sample, self.budget.span_outliers)
-            if self.budget is not None
-            else ReservoirSample(DEFAULT_SPAN_SAMPLE, DEFAULT_SPAN_OUTLIERS)
-        )
+        if self.budget is not None:
+            span_sample = self.budget.span_sample
+            span_outliers = self.budget.span_outliers
+        else:
+            span_sample = DEFAULT_SPAN_SAMPLE
+            span_outliers = DEFAULT_SPAN_OUTLIERS
+        spans = ReservoirSample(span_sample, span_outliers)
         # one trim after offering every span (the retained set depends
         # only on the set offered), not one sort per span past capacity
         spans.extend(
