@@ -440,16 +440,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _run_with_snapshots(
-    args: argparse.Namespace,
-    run: Callable[[Callable[[Snapshot], None]], Any],
-    stream: str,
+    args: argparse.Namespace, run: Callable[..., Any], cfg: Any, stream: str,
 ) -> Any:
-    """Refuse existing output files, then call ``run(on_snapshot)`` with
-    the live telemetry both multi-query commands share: one progress line
-    per periodic snapshot (``--live``), optionally streamed to a JSONL
-    file (``--snapshot-out``; `repro tail` renders it).  The final
-    snapshot is always appended last, so the file's last line is the
-    run's end state — what bench-diff compares.
+    """Refuse existing output files, then call ``run(cfg, validate=...,
+    on_snapshot=...)`` with the live telemetry both multi-query commands
+    share: one progress line per periodic snapshot (``--live``),
+    optionally streamed to a JSONL file (``--snapshot-out``; `repro tail`
+    renders it).  The final snapshot is always appended last, so the
+    file's last line is the run's end state — what bench-diff compares.
     """
     _refuse_overwrite(args, args.out, args.metrics_out, args.baseline,
                       args.snapshot_out)
@@ -466,7 +464,7 @@ def _run_with_snapshots(
             snap_fh.flush()
 
     try:
-        res = run(on_snapshot)
+        res = run(cfg, validate=not args.no_validate, on_snapshot=on_snapshot)
         if res.snapshot is not None:
             on_snapshot(res.snapshot)
     finally:
@@ -518,13 +516,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     from .workload import run_workload
 
     cfg = _configured(args, lambda: _workload_config(args))
-    res = _run_with_snapshots(
-        args,
-        lambda on_snapshot: run_workload(
-            cfg, validate=not args.no_validate, on_snapshot=on_snapshot
-        ),
-        "snapshot stream",
-    )
+    res = _run_with_snapshots(args, run_workload, cfg, "snapshot stream")
     _write_workload_outputs(
         args, res, cfg, benchmark="workload", series=cfg.policy.value,
         p99=res.latency_percentiles()["p99"],
@@ -542,13 +534,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     # Each live line and stream entry carries the *merged* fleet-wide
     # snapshot (latest per cohort, folded with the snapshot merge laws),
     # so tailing the JSONL mid-run shows progress across all workers.
-    res = _run_with_snapshots(
-        args,
-        lambda on_snapshot: run_fleet(
-            cfg, validate=not args.no_validate, on_snapshot=on_snapshot
-        ),
-        "merged snapshot stream",
-    )
+    res = _run_with_snapshots(args, run_fleet, cfg, "merged snapshot stream")
     for failure in res.failures:
         print(f"fleet: shard {failure.shard} failed ({failure.kind}, "
               f"cohorts {list(failure.cohorts)}): {failure.detail}",

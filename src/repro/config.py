@@ -485,9 +485,8 @@ class WorkloadConfig:
             0 < self.grant_timeout_s < float("inf")
         ):
             raise ValueError("grant_timeout_s must be finite and > 0")
-        if not (0 < self.scale <= 1.0):
-            raise ValueError(f"scale must be in (0, 1], got {self.scale}")
         for entry in self.mix:
+            entry.spec(scale=self.scale)  # checks the scale, too
             if entry.initial_nodes > self.cluster.n_potential_nodes:
                 raise ValueError(
                     f"mix entry needs {entry.initial_nodes} initial nodes "
