@@ -108,6 +108,18 @@ def test_bad_config_exits_2_with_one_line_before_simulating(argv, capsys):
     assert captured.err.startswith(f"{argv[0]}: ")
 
 
+def test_value_error_inside_a_run_propagates(monkeypatch):
+    # only config building turns a ValueError into exit 2
+    import repro.cli as cli
+
+    def fail_mid_run(cfg, validate=True):
+        raise ValueError("mid-run failure")
+
+    monkeypatch.setattr(cli, "run_join", fail_mid_run)
+    with pytest.raises(ValueError, match="mid-run failure"):
+        main(small_args(["run", "--initial-nodes", "2"]))
+
+
 def test_trace_command_writes_chrome_json(tmp_path, capsys):
     import json
 
